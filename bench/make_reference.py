@@ -3,10 +3,11 @@
     python3 bench/make_reference.py
 
 Runs ``fdsw diagram`` for each diagram model exactly as the benchmark does
-and stores its grid labels (run-length encoded) and mechanism-curve points
-under ``bench/reference/``.  The committed files were recorded at commit
-26f6090 (the package as first released); re-record only after a change whose
-new diagram output has been checked against the old one.
+and stores its grid labels (run-length encoded), the SHA-256 of its grid
+CSV and its mechanism-curve points under ``bench/reference/``.  The
+committed files hold the output of commit 26f6090 (the package as first
+released); re-record only after a change whose new diagram output has been
+checked against the old one.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ def main() -> None:
         rc, grid, curves = diagram.run(plain_api(), model)
         if rc != 0:
             raise SystemExit(f"fdsw diagram --model {model.value} exited {rc}")
-        labels, points = read_diagram(grid, curves)
+        labels, grid_sha256, points = read_diagram(grid, curves)
         grid.unlink()
         curves.unlink()
         ref = {
             "model": model.value,
             "resolution": DIAGRAM_RESOLUTION,
             "labels_rle": [[lab, len(list(run))] for lab, run in groupby(labels)],
+            "grid_sha256": grid_sha256,
             "curves": points,
         }
         path = REFERENCE_DIR / f"diagram-{model.value}.json"

@@ -46,7 +46,8 @@ ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".bench_out"
 
-# Set-up is measured in fresh processes, this many times; the median is reported.
+# Set-up is measured in fresh processes, this many times before the timed
+# passes and as many times after them; the median of all is reported.
 SETUP_REPEATS = 7
 SETUP_TIMEOUT_S = 120
 
@@ -103,7 +104,8 @@ def probe_setup(workload: str) -> None:
     print(time.perf_counter() - t0)
 
 
-def measure_setup(workload: str) -> float:
+def measure_setup(workload: str) -> list[float]:
+    """Set-up times of SETUP_REPEATS fresh processes."""
     samples = []
     for _ in range(SETUP_REPEATS):
         done = subprocess.run(
@@ -115,7 +117,7 @@ def measure_setup(workload: str) -> float:
             check=True,
         )
         samples.append(float(done.stdout.split()[-1]))
-    return statistics.median(samples)
+    return samples
 
 
 def run_pass(workload, cases, api, tracer=None):
@@ -192,6 +194,7 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload](OUT_DIR)
     cases = workload.make_cases(random.Random(args.seed))
     failures: list = []
+    setup_samples = measure_setup(args.workload) if args.trace == 0 else []
     workload.warm_up(plain_api())
     walls, times = run_timed(workload, cases, args.seconds, failures)
     # The median case is printed, not a metric: see README.md, "End-to-end metrics".
@@ -202,10 +205,10 @@ def main(argv=None) -> int:
     )
 
     if args.trace == 0:
-        setup_s = measure_setup(args.workload)
+        setup_samples += measure_setup(args.workload)
         attempted = len(times)
         metrics = {
-            "setup_s": (setup_s, "s"),
+            "setup_s": (statistics.median(setup_samples), "s"),
             "wall_s": (statistics.median(walls), "s"),
             "case_p90_ms": (percentile_ms(times, 90), "ms"),
             "pass_ratio": (1.0 - len(failures) / attempted, "ratio"),

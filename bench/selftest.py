@@ -1,13 +1,16 @@
 """Self-test of the benchmark: its checkers fail when they should, its counts repeat.
 
-    python3 bench/selftest.py [--workloads thresholds oracle diagram] [--seed 7]
+    python3 bench/selftest.py
 
-1. The diagram checker passes the reference itself and counts a failure for
-   one altered grid label and for one curve point moved by 1e-6.
+1. The diagram checker passes the CLI's own diagram output and counts a
+   failure for one altered grid label, for one grid coordinate moved by one
+   ulp and for one curve point moved by 1e-6.
 2. The oracle checker counts a failure for one flipped label.
-3. The thresholds checker counts a failure for a T = 0 threshold off the table.
-4. For each named workload, two traced runs with the same seed report the
-   same exact counts.
+3. The thresholds checker counts a failure for a T = 0 threshold off the
+   table, for a later i4 root returned in place of the smallest, and for a
+   divergence certificate where a root exists.
+4. For every workload, two traced runs with seed COUNT_SEED report the same
+   exact counts.
 5. Without the package sources, run.py exits non-zero and prints no result.
 
 Exits 0 when every check holds.  Writes only under ``.bench_out/``.
@@ -15,60 +18,66 @@ Exits 0 when every check holds.  Writes only under ``.bench_out/``.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
+import math
 import shutil
 import subprocess
 import sys
 
-from run import BENCH_DIR, OUT_DIR, ROOT, check_pass, import_fdsw
+from run import BENCH_DIR, OUT_DIR, ROOT, check_pass, import_fdsw, plain_api
 
 EXACT_UNITS = ("count", "B", "B-computed")
+COUNT_WORKLOADS = ("thresholds", "oracle", "diagram")
+COUNT_SEED = 7
 
 
-def _run_check(workload, case, answer) -> int:
+def _failures(workload, case, answer) -> list[str]:
     failures: list = []
     check_pass(workload, [case], [answer], failures)
-    return len(failures)
+    return [problem for _, problem, _ in failures]
 
 
-def _write_diagram(labels: list[str], curves: dict, stem: str):
-    grid, curve_path = OUT_DIR / f"{stem}.csv", OUT_DIR / f"{stem}_curves.csv"
-    with open(grid, "w") as fh:
-        fh.write("kappa,kappa_sqrtT,bond,label\n")
-        fh.writelines(f"0,0,0,{lab}\n" for lab in labels)
-    with open(curve_path, "w") as fh:
-        fh.write("mechanism,kappa,kappa_sqrtT\n")
-        for mech, points in curves.items():
-            fh.writelines(f"{mech},{k!r},{y!r}\n" for k, y in points)
-    return grid, curve_path
+def _edit(rows: list[str], i: int, field: int, change) -> list[str]:
+    """A copy of CSV rows with one field of row i replaced by change(field)."""
+    fields = rows[i].rstrip("\n").split(",")
+    fields[field] = change(fields[field])
+    return rows[:i] + [",".join(fields) + "\n"] + rows[i + 1 :]
+
+
+def check_diagram_checker() -> list[str]:
+    from workloads import DIAGRAM_MODELS, Diagram
+
+    errors = []
+    diagram = Diagram(OUT_DIR)
+    for model in DIAGRAM_MODELS:
+        rc, grid, curves = diagram.run(plain_api(), model)
+        if rc != 0:
+            errors.append(f"diagram {model.value}: CLI exited {rc}")
+            continue
+        grid_rows = grid.read_text().splitlines(keepends=True)
+        curve_rows = curves.read_text().splitlines(keepends=True)
+        mid = len(grid_rows) // 2
+        for what, grid_variant, curves_variant, want in (
+            ("CLI output", grid_rows, curve_rows, 0),
+            ("one altered label", _edit(grid_rows, mid, 3, lambda v: "U" if v == "S" else "S"), curve_rows, 1),
+            ("one coordinate off by an ulp", _edit(grid_rows, mid, 0, lambda v: f"{math.nextafter(float(v), math.inf):.17g}"), curve_rows, 1),
+            ("one curve point moved by 1e-6", grid_rows, _edit(curve_rows, 1, 1, lambda v: repr(float(v) + 1e-6)), 1),
+        ):  # fmt: skip
+            grid.write_text("".join(grid_variant))
+            curves.write_text("".join(curves_variant))
+            got = len(_failures(diagram, model, (0, grid, curves)))
+            if got != want:
+                errors.append(f"diagram {model.value} {what}: {got} failures, expected {want}")
+    return errors
 
 
 def check_checkers() -> list[str]:
     from fdsw import Model, critical_wavenumber
-    from workloads import Diagram, Oracle, Thresholds, load_reference
+    from fdsw.analysis import find_factor_roots
+    from workloads import Oracle, Thresholds
 
-    errors = []
-    diagram = Diagram(OUT_DIR)
-    for model in (Model.FDSW2, Model.WHITHAM):
-        ref = load_reference(model)
-        curves = {mech: [tuple(p) for p in pts] for mech, pts in ref["curves"].items()}
-        flipped = list(ref["labels"])
-        flipped[len(flipped) // 2] = "S" if flipped[len(flipped) // 2] != "S" else "U"
-        moved = {mech: list(pts) for mech, pts in curves.items()}
-        k, y = moved["R4"][0]
-        moved["R4"][0] = (k + 1e-6, y)
-        for what, labels, points, want in (
-            ("reference", ref["labels"], curves, 0),
-            ("one altered label", flipped, curves, 1),
-            ("one moved curve point", ref["labels"], moved, 1),
-        ):
-            answer = (0, *_write_diagram(labels, points, f"selftest-{model.value}"))
-            got = _run_check(diagram, model, answer)
-            if got != want:
-                errors.append(f"diagram {model.value} {what}: {got} failures, expected {want}")
-
+    errors = check_diagram_checker()
     oracle = Oracle(OUT_DIR)
     case = (2.0, 0.0)
     for what, answer, want in (
@@ -77,18 +86,41 @@ def check_checkers() -> list[str]:
         ("flipped hill label", (-1.0, "U", 0.0), 1),
         ("flipped index label", (1.0, "U", 1e-3), 1),
     ):
-        got = _run_check(oracle, case, answer)
+        got = len(_failures(oracle, case, answer))
         if got != want:
             errors.append(f"oracle {what}: {got} failures, expected {want}")
 
     thresholds = Thresholds(OUT_DIR)
-    case = ("critical", Model.WHITHAM, 0.0)
-    good = critical_wavenumber(Model.WHITHAM, 0.0)
-    off = dataclasses.replace(good, kappa_c=good.kappa_c + 0.01)
-    for what, answer, want in (("seed answer", good, 0), ("kappa_c off table", off, 1)):
-        got = _run_check(thresholds, case, answer)
-        if got != want:
-            errors.append(f"thresholds {what}: {got} failures, expected {want}")
+    at_t0 = critical_wavenumber(Model.WHITHAM, 0.0)
+    # fdch at T = 0.1 has two i4 roots, near 1.38 and 5.12.
+    two_roots = critical_wavenumber(Model.FDCH, 0.1)
+    later = find_factor_roots(Model.FDCH, "i4", 0.1, 1e-4, 200.0)[1]
+    for what, case, answer, want in (
+        ("seed answer at T = 0", ("critical", Model.WHITHAM, 0.0), at_t0, None),
+        ("seed answer with two roots", ("critical", Model.FDCH, 0.1), two_roots, None),
+        (
+            "kappa_c off table",
+            ("critical", Model.WHITHAM, 0.0),
+            dataclasses.replace(at_t0, kappa_c=at_t0.kappa_c + 0.01),
+            "table says",
+        ),
+        (
+            "later root",
+            ("critical", Model.FDCH, 0.1),
+            dataclasses.replace(two_roots, kappa_c=later, bracket=(later - 1e-8, later + 1e-8)),
+            "not the smallest root",
+        ),
+        (
+            "divergence certificate with a root",
+            ("critical", Model.FDCH, 0.1),
+            dataclasses.replace(two_roots, kappa_c=None, bracket=None, iterations=0),
+            "divergent, but",
+        ),
+    ):
+        got = _failures(thresholds, case, answer)
+        ok = not got if want is None else len(got) == 1 and want in got[0]
+        if not ok:
+            errors.append(f"thresholds {what}: failures {got}, expected {want or 'none'}")
     return errors
 
 
@@ -102,10 +134,10 @@ def _bench(*args: str, cwd=ROOT) -> subprocess.CompletedProcess:
     )
 
 
-def check_counts(workload: str, seed: int) -> list[str]:
+def check_counts(workload: str) -> list[str]:
     runs = []
     for _ in range(2):
-        done = _bench("--workload", workload, "--seed", str(seed), "--seconds", "0.001", "--trace", "1")
+        done = _bench("--workload", workload, "--seed", str(COUNT_SEED), "--seconds", "0.001", "--trace", "1")
         if done.returncode != 0:
             return [f"{workload}: traced run exited {done.returncode}: {done.stderr[-500:]}"]
         metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
@@ -135,15 +167,11 @@ def check_without_sources() -> list[str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workloads", nargs="*", default=["thresholds", "oracle"])
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
     import_fdsw()
     OUT_DIR.mkdir(exist_ok=True)
     errors = check_checkers() + check_without_sources()
-    for workload in args.workloads:
-        errors += check_counts(workload, args.seed)
+    for workload in COUNT_WORKLOADS:
+        errors += check_counts(workload)
     for error in errors:
         print(f"FAIL {error}")
     print("selftest " + ("failed" if errors else "passed"))

@@ -13,12 +13,16 @@ case that raised.
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from fdsw import Model, index
 from fdsw.config import DEFAULT_AMPLITUDE, DEFAULT_XI, GROWTH_THRESHOLD
@@ -61,12 +65,15 @@ GRID_HEADER = "kappa,kappa_sqrtT,bond,label"
 CURVES_HEADER = "mechanism,kappa,kappa_sqrtT"
 
 
-def read_diagram(grid_path, curves_path) -> tuple[list[str], dict[str, list]]:
-    """Labels in row order and curve points by mechanism, from the CLI's CSVs."""
-    with open(grid_path) as fh:
-        if fh.readline().rstrip("\n") != GRID_HEADER:
-            raise ValueError(f"{grid_path}: unexpected header")
-        labels = [line.rstrip("\n").rsplit(",", 1)[1] for line in fh]
+def read_diagram(grid_path, curves_path) -> tuple[list[str], str, dict[str, list]]:
+    """Labels in row order, the grid CSV's SHA-256 and curve points by mechanism."""
+    with open(grid_path, "rb") as fh:
+        data = fh.read()
+    grid_sha256 = hashlib.sha256(data).hexdigest()
+    header, *rows = data.decode().splitlines()
+    if header != GRID_HEADER:
+        raise ValueError(f"{grid_path}: unexpected header")
+    labels = [row.rsplit(",", 1)[1] for row in rows]
     curves: dict[str, list] = {}
     with open(curves_path) as fh:
         if fh.readline().rstrip("\n") != CURVES_HEADER:
@@ -74,7 +81,7 @@ def read_diagram(grid_path, curves_path) -> tuple[list[str], dict[str, list]]:
         for line in fh:
             mech, k, y = line.rstrip("\n").split(",")
             curves.setdefault(mech, []).append((float(k), float(y)))
-    return labels, curves
+    return labels, grid_sha256, curves
 
 
 def load_reference(model: Model) -> dict:
@@ -84,8 +91,15 @@ def load_reference(model: Model) -> dict:
     return ref
 
 
-def compare_diagram(ref: dict, labels: list[str], curves: dict[str, list]) -> str | None:
-    """None if labels match exactly and curve points within CURVE_TOL."""
+def compare_diagram(
+    ref: dict, labels: list[str], grid_sha256: str, curves: dict[str, list]
+) -> str | None:
+    """None if the grid CSV is byte-identical and curve points within CURVE_TOL.
+
+    Labels are compared one by one first, so that a wrong label is reported
+    by its node; the hash then catches any other change to the grid CSV,
+    such as a coordinate or its 17-digit formatting.
+    """
     want = ref["labels"]
     if len(labels) != len(want):
         return f"{len(labels)} grid rows, reference has {len(want)}"
@@ -94,6 +108,8 @@ def compare_diagram(ref: dict, labels: list[str], curves: dict[str, list]) -> st
         n = ref["resolution"]
         shown = ", ".join(f"node (i={i // n}, j={i % n}) {labels[i]}!={want[i]}" for i in bad[:3])
         return f"{len(bad)} grid labels differ from reference: {shown}"
+    if grid_sha256 != ref["grid_sha256"]:
+        return "grid CSV differs from reference in its coordinates or formatting (labels equal)"
     for mech, points in ref["curves"].items():
         got = curves.get(mech, [])
         if len(got) != len(points):
@@ -157,8 +173,7 @@ class Diagram:
         try:
             if rc != 0:
                 return f"exit code {rc}", True
-            labels, points = read_diagram(grid, curves)
-            return compare_diagram(load_reference(model), labels, points), True
+            return compare_diagram(load_reference(model), *read_diagram(grid, curves)), True
         finally:
             for path in (grid, curves):
                 with contextlib.suppress(FileNotFoundError):
@@ -179,6 +194,29 @@ BOND_RANGE = (1e-3, 1e3)
 INTERVAL_RANGE = (0.05, 30.0)
 EDGE_PROBE = 1e-8  # half-width around a returned root; 100x the bisection tolerance
 CRITICAL_SCAN = (1e-4, 200.0)  # critical_wavenumber's scan, extended once
+# Fixed log grid on which factor_i4 must not change sign below a returned
+# root (or anywhere, for a divergence certificate); about three times as
+# dense as critical_wavenumber's own scan.
+CERTIFICATE_GRID = tuple(float(k) for k in np.geomspace(*CRITICAL_SCAN, 6001))
+
+
+@functools.lru_cache(maxsize=None)
+def _i4_sign_change_below(model: Model, bond: float, upto: float) -> tuple | None:
+    """First pair of neighbours across which i4 changes sign or vanishes.
+
+    The points are those of CERTIFICATE_GRID below `upto`, then `upto`
+    itself; None if i4 keeps one sign on all of them.  Cached, because
+    every pass repeats the same cases and a correct answer repeats too.
+    """
+    i4 = _factors(model, bond)[3]
+    ks = [k for k in CERTIFICATE_GRID if k < upto] + [upto]
+    prev_k, prev_v = ks[0], i4(ks[0])
+    for k in ks[1:]:
+        v = i4(k)
+        if prev_v * v <= 0.0:
+            return prev_k, k
+        prev_k, prev_v = k, v
+    return None
 
 
 @dataclass
@@ -225,17 +263,20 @@ class Thresholds:
     def _check_critical(model, bond, res) -> str | None:
         i4 = _factors(model, bond)[3]
         if res.kappa_c is None:
-            lo, hi = CRITICAL_SCAN
-            if i4(lo) * i4(hi) < 0.0:
-                return f"divergent, but i4 changes sign on [{lo}, {hi}]"
+            earlier = _i4_sign_change_below(model, bond, CRITICAL_SCAN[1])
+            if earlier is not None:
+                return f"divergent, but i4 changes sign on {earlier!r}"
             return None
+        if bond == 0.0 and abs(res.kappa_c - CRITICAL_T0[model]) > CRITICAL_T0_TOL:
+            return f"kappa_c={res.kappa_c:.6f}, table says {CRITICAL_T0[model]}"
         lo, hi = res.bracket
         if not lo <= res.kappa_c <= hi:
             return f"kappa_c={res.kappa_c!r} outside its bracket ({lo!r}, {hi!r})"
         if i4(lo) * i4(hi) > 0.0:
             return f"i4 does not change sign across bracket ({lo!r}, {hi!r})"
-        if bond == 0.0 and abs(res.kappa_c - CRITICAL_T0[model]) > CRITICAL_T0_TOL:
-            return f"kappa_c={res.kappa_c:.6f}, table says {CRITICAL_T0[model]}"
+        earlier = _i4_sign_change_below(model, bond, lo)
+        if earlier is not None:
+            return f"kappa_c={res.kappa_c!r} is not the smallest root: i4 changes sign on {earlier!r}"
         return None
 
     @staticmethod
