@@ -6,20 +6,24 @@ kappa at fixed Bond number, extracts the critical wave number kappa_c
 (the R4 crossing), runs the large-surface-tension protocol on the scaled
 threshold kappa_c*sqrt(T), splits a kappa-range into classified stability
 intervals, and assembles (kappa, kappa*sqrt(T)) stability diagrams.
+
+All root finding goes through one batched finder, :func:`_factor_roots`:
+a sign-change scan of the factors on a (Bond number x kappa) grid, then a
+masked vector bisection of every bracket at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import BOND_THIRD_TOL
-from .factors import Branch, Model, factor_i1, factor_i2, factor_i3, factor_i4, index
+from .factors import Model, factor_arrays, index, index_labels
 
 # Scan density and bisection tolerance for factor root finding.  The factors
 # are smooth and cheap; a dense scan guards against close root pairs near the
@@ -35,37 +39,108 @@ class InconclusiveBondError(ValueError):
     """The classification is inconclusive on the Bond line T = 1/3."""
 
 
-def _factor_function(model: Model, which: str, bond: float) -> Callable[[float], float]:
-    model = Model(model)
-    branch = Branch.MINUS if model.unidirectional else Branch.FULL
-    if which == "i1":
-        return lambda k: factor_i1(k, bond)
-    if which == "i2":
-        return lambda k: factor_i2(k, bond, branch)
-    if which == "i3":
-        return lambda k: factor_i3(k, bond, branch)
-    if which == "i4":
-        return lambda k: factor_i4(model, k, bond)
-    raise ValueError(f"unknown factor {which!r}")
+@dataclass(frozen=True)
+class _Roots:
+    """Roots found by :func:`_factor_roots`, one entry per root.
+
+    Entries are ordered by factor, then Bond number, then kappa.  A scan
+    node where the factor is exactly zero is a root with a zero-width
+    bracket and no iterations.
+    """
+
+    factor: np.ndarray  # index into the factors searched
+    ray: np.ndarray  # index into the Bond numbers
+    root: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    iterations: np.ndarray
 
 
-def _bisect(
-    f: Callable[[float], float], lo: float, hi: float, f_lo: float
-) -> tuple[float, tuple[float, float], int]:
-    """Bisect a bracketing interval down to ROOT_TOL; returns (root, bracket, iterations)."""
-    iterations = 0
-    while hi - lo > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        iterations += 1
-        if f_mid == 0.0:
-            half = 0.5 * ROOT_TOL
-            return mid, (mid - half, mid + half), iterations
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi), (lo, hi), iterations
+def _scan_grid(k_lo: float, k_hi: float, points: int) -> np.ndarray:
+    if not 0.0 < k_lo < k_hi:
+        raise ValueError(f"need 0 < k_lo < k_hi, got ({k_lo!r}, {k_hi!r})")
+    return np.geomspace(k_lo, k_hi, points)
+
+
+def _factor_rows(which: Sequence[str]) -> list[int]:
+    unknown = [w for w in which if w not in MECHANISM_FACTORS]
+    if unknown:
+        raise ValueError(f"unknown factor {unknown[0]!r}")
+    return [MECHANISM_FACTORS.index(w) for w in which]
+
+
+def _factor_roots(
+    model: Model, which: Sequence[str], bonds: np.ndarray, grid: np.ndarray
+) -> _Roots:
+    """Every sign change of the named factors along every Bond number.
+
+    The factors are scanned on ``grid`` (kappa, shared by all Bond numbers)
+    in one array pass; every bracket with a strict sign change is then
+    bisected down to ROOT_TOL in kappa, all brackets at once.  Sign changes
+    are products of neighbours below zero, as in float arithmetic: an
+    overflowed or underflowed product raises no warning.
+    """
+    rows = _factor_rows(which)
+    bonds = np.asarray(bonds, dtype=float)
+    values = np.stack(factor_arrays(model, grid[None, :], bonds[:, None]))[rows]
+    zero = values == 0.0
+    event = zero.copy()
+    with np.errstate(all="ignore"):
+        event[..., :-1] |= values[..., :-1] * values[..., 1:] < 0.0
+    factor, ray, i = np.nonzero(event)
+    lo = grid[i]
+    bracketed = ~zero[factor, ray, i]
+    hi = lo.copy()
+    hi[bracketed] = grid[i[bracketed] + 1]
+
+    b = np.nonzero(bracketed)[0]
+    b_rows = np.asarray(rows)[factor[b]]
+    b_bonds = bonds[ray[b]]
+
+    def evaluate(kappa: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        table = np.stack(factor_arrays(model, kappa, b_bonds[sel]))
+        return table[b_rows[sel], np.arange(sel.size)]
+
+    root, iterations = lo.copy(), np.zeros(lo.size, dtype=int)
+    root[b], lo[b], hi[b], iterations[b] = _bisect(
+        evaluate, lo[b], hi[b], values[factor[b], ray[b], i[b]]
+    )
+    return _Roots(factor=factor, ray=ray, root=root, lo=lo, hi=hi, iterations=iterations)
+
+
+def _bisect(evaluate, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
+    """Bisect every bracket down to ROOT_TOL at once.
+
+    ``evaluate(kappa, sel)`` gives the function of brackets ``sel`` at
+    ``kappa``.  Returns (root, lo, hi, iterations) per bracket; a midpoint
+    where the function is exactly zero is the root, with a bracket of width
+    ROOT_TOL around it.
+    """
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    root = np.empty_like(lo)
+    iterations = np.zeros(lo.size, dtype=int)
+    hit = np.zeros(lo.size, dtype=bool)
+    active = np.nonzero(hi - lo > ROOT_TOL)[0]
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        f_mid = evaluate(mid, active)
+        iterations[active] += 1
+        exact = f_mid == 0.0
+        with np.errstate(all="ignore"):
+            left = ~exact & (f_lo[active] * f_mid < 0.0)
+        right = ~exact & ~left
+        hi[active[left]] = mid[left]
+        lo[active[right]] = mid[right]
+        f_lo[active[right]] = f_mid[right]
+        done = active[exact]
+        hit[done] = True
+        root[done] = mid[exact]
+        lo[done] = mid[exact] - 0.5 * ROOT_TOL
+        hi[done] = mid[exact] + 0.5 * ROOT_TOL
+        active = active[~exact]
+        active = active[hi[active] - lo[active] > ROOT_TOL]
+    root[~hit] = 0.5 * (lo[~hit] + hi[~hit])
+    return root, lo, hi, iterations
 
 
 def find_factor_roots(
@@ -81,21 +156,8 @@ def find_factor_roots(
     Log-spaced scan followed by bisection to absolute tolerance 1e-10 in
     kappa.  No roots is an empty list, not an error.
     """
-    if not 0.0 < k_lo < k_hi:
-        raise ValueError(f"need 0 < k_lo < k_hi, got ({k_lo!r}, {k_hi!r})")
-    f = _factor_function(model, which, bond)
-    grid = np.geomspace(k_lo, k_hi, scan_points)
-    values = [f(k) for k in grid]
-    roots = []
-    for i in range(scan_points - 1):
-        if values[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif values[i] * values[i + 1] < 0.0:
-            root, _, _ = _bisect(f, float(grid[i]), float(grid[i + 1]), values[i])
-            roots.append(root)
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return sorted(roots)
+    grid = _scan_grid(k_lo, k_hi, scan_points)
+    return _factor_roots(model, (which,), [bond], grid).root.tolist()
 
 
 @dataclass(frozen=True)
@@ -124,7 +186,8 @@ def critical_wavenumber(
     For T = 0 and T > 1/3 this root is unique and is the threshold above
     which small wave trains are modulationally unstable.  If no sign change
     exists up to k_max, the scan is extended once to 4*k_max before a
-    divergence certificate (kappa_c = None) is returned.
+    divergence certificate (kappa_c = None) is returned.  A scan node where
+    i4 is exactly zero is returned as is, with a zero-width bracket.
     """
     if k_max < 20.0:
         raise ValueError(f"k_max must be >= 20, got {k_max!r}")
@@ -133,23 +196,16 @@ def critical_wavenumber(
             f"bond={bond!r} is on the T=1/3 line where the index is inconclusive"
         )
     model = Model(model)
-    f = _factor_function(model, "i4", bond)
     for hi in (k_max, 4.0 * k_max):
-        grid = np.geomspace(1e-4, hi, SCAN_POINTS)
-        prev_k, prev_v = float(grid[0]), f(float(grid[0]))
-        for k in grid[1:]:
-            k = float(k)
-            v = f(k)
-            if prev_v * v < 0.0 or v == 0.0:
-                root, bracket, iters = _bisect(f, prev_k, k, prev_v)
-                return CriticalResult(
-                    model=model,
-                    bond=bond,
-                    kappa_c=root,
-                    bracket=bracket,
-                    iterations=iters,
-                )
-            prev_k, prev_v = k, v
+        found = _factor_roots(model, ("i4",), [bond], np.geomspace(1e-4, hi, SCAN_POINTS))
+        if found.root.size:
+            return CriticalResult(
+                model=model,
+                bond=bond,
+                kappa_c=float(found.root[0]),
+                bracket=(float(found.lo[0]), float(found.hi[0])),
+                iterations=int(found.iterations[0]),
+            )
     return CriticalResult(model=model, bond=bond, kappa_c=None, bracket=None, iterations=0)
 
 
@@ -231,10 +287,9 @@ def classify_intervals(
     the index) and i4; each resulting interval is labeled by the index
     classification at its geometric midpoint.
     """
-    delimiters: list[float] = []
-    for which in MECHANISM_FACTORS:
-        delimiters.extend(find_factor_roots(model, which, bond, k_lo, k_hi))
-    edges = [k_lo] + sorted(delimiters) + [k_hi]
+    grid = _scan_grid(k_lo, k_hi, SCAN_POINTS)
+    delimiters = _factor_roots(model, MECHANISM_FACTORS, [bond], grid).root
+    edges = [k_lo] + sorted(delimiters.tolist()) + [k_hi]
     out = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = math.sqrt(lo * hi)
@@ -256,17 +311,29 @@ class MechanismCurve:
     points: list[tuple[float, float]]  # (kappa, kappa*sqrt(T)), ordered by T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityDiagram:
+    """A classified grid, kept as arrays, and the mechanism curves.
+
+    Node (i, j) sits at kappa = kappas[i], kappa*sqrt(T) = ys[j].
+    """
+
     model: Model
-    grid: list[GridPoint]
+    kappas: np.ndarray  # (n,)
+    ys: np.ndarray  # (n,) kappa*sqrt(T)
+    bonds: np.ndarray  # (n, n) T = (y/kappa)**2
+    labels: np.ndarray  # (n, n) index classification, strings
     curves: list[MechanismCurve]
 
-
-def _classify_node(model: Model, kappa: float, y: float) -> GridPoint:
-    bond = (y / kappa) ** 2
-    label = index(model, kappa, bond).classification
-    return GridPoint(kappa=kappa, kappa_sqrtT=y, bond=bond, label=label)
+    @property
+    def grid(self) -> list[GridPoint]:
+        """The nodes as a list, kappa varying slowest."""
+        ys = self.ys.tolist()
+        return [
+            GridPoint(kappa=k, kappa_sqrtT=y, bond=b, label=lab)
+            for k, bonds, labels in zip(self.kappas.tolist(), self.bonds.tolist(), self.labels)
+            for y, b, lab in zip(ys, bonds, labels.tolist())
+        ]
 
 
 def stability_diagram(
@@ -275,47 +342,49 @@ def stability_diagram(
     ksqrtT_range: tuple[float, float] = (0.0, 3.0),
     resolution: int = 600,
     curve_samples: int = 200,
-    threads: int = 1,
 ) -> StabilityDiagram:
     """Classified grid plus mechanism curves in the (kappa, kappa*sqrt(T)) plane.
 
     Grid nodes exclude kappa = 0 (the left edge is open); rows are ordered
-    by kappa then kappa*sqrt(T), independent of thread count.  Curves are
-    traced by fixed-T root finding in kappa, converted to the scaled plane.
+    by kappa then kappa*sqrt(T).  Curves are traced by fixed-T root finding
+    in kappa, converted to the scaled plane.
     """
     model = Model(model)
     if resolution < 2 or curve_samples < 2:
         raise ValueError("resolution and curve_samples must be >= 2")
     k_lo, k_hi = k_range
     y_lo, y_hi = ksqrtT_range
-    if not (k_hi > k_lo >= 0.0 and y_hi > y_lo >= 0.0):
+    finite = all(math.isfinite(v) for v in (*k_range, *ksqrtT_range))
+    if not (finite and k_hi > k_lo >= 0.0 and y_hi > y_lo >= 0.0):
         raise ValueError(f"bad window {k_range!r} x {ksqrtT_range!r}")
-    kappas = [k_lo + (i + 1) * (k_hi - k_lo) / resolution for i in range(resolution)]
-    ys = [y_lo + j * (y_hi - y_lo) / (resolution - 1) for j in range(resolution)]
-
-    def classify_row(kappa: float) -> list[GridPoint]:
-        return [_classify_node(model, kappa, y) for y in ys]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(classify_row, kappas))
-    else:
-        rows = [classify_row(k) for k in kappas]
-    grid = [point for row in rows for point in row]
+    kappas = k_lo + np.arange(1, resolution + 1) * (k_hi - k_lo) / resolution
+    ys = y_lo + np.arange(resolution) * (y_hi - y_lo) / (resolution - 1)
+    scan_lo = max(k_lo, 1e-3)
+    try:
+        # T = (y/kappa)**2 as Python's float ** computes it (libm pow): numpy's
+        # square differs from it in the last ulp at some nodes, and the grid
+        # CSV prints T to 17 digits.
+        ratios = (ys[None, :] / kappas[:, None]).ravel().tolist()
+        bonds = np.array(list(map(math.pow, ratios, itertools.repeat(2.0))))
+        bonds = bonds.reshape(resolution, resolution)
+        t_max = (y_hi / scan_lo) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"window {k_range!r} x {ksqrtT_range!r} has Bond numbers beyond float range"
+        ) from None
+    labels = index_labels(model, kappas[:, None], bonds)
 
     # Fixed T is a ray of slope sqrt(T) through the origin; each mechanism
     # curve is swept by bisecting its factor along rays of increasing slope.
-    scan_lo = max(k_lo, 1e-3)
-    bonds = [0.0] + list(
-        np.geomspace(1e-4, (y_hi / scan_lo) ** 2, curve_samples - 1)
-    )
+    rays = np.array([0.0] + list(np.geomspace(1e-4, t_max, curve_samples - 1)))
+    found = _factor_roots(model, MECHANISM_FACTORS, rays, _scan_grid(scan_lo, k_hi, 400))
+    y = found.root * np.sqrt(rays[found.ray])
+    keep = (y_lo <= y) & (y <= y_hi)
     curves = []
-    for which in MECHANISM_FACTORS:
-        points: list[tuple[float, float]] = []
-        for T in bonds:
-            for root in find_factor_roots(model, which, T, scan_lo, k_hi, scan_points=400):
-                y = root * math.sqrt(T)
-                if y_lo <= y <= y_hi:
-                    points.append((root, y))
+    for row, which in enumerate(MECHANISM_FACTORS):
+        sel = keep & (found.factor == row)
+        points = list(zip(found.root[sel].tolist(), y[sel].tolist()))
         curves.append(MechanismCurve(mechanism=MECHANISM_NAMES[which], points=points))
-    return StabilityDiagram(model=model, grid=grid, curves=curves)
+    return StabilityDiagram(
+        model=model, kappas=kappas, ys=ys, bonds=bonds, labels=labels, curves=curves
+    )

@@ -3,7 +3,7 @@
 Subcommands: index, critical, diagram, hill, intervals.  Numeric output is
 deterministic (17 significant digits, LF line endings); --format json emits
 machine-readable records.  Exit codes: 0 success, 2 domain/validation
-error, 3 I/O error.
+error (including a wave polish that does not converge), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .analysis import (
 from .bloch import DegenerateQuarticError
 from .config import GROWTH_THRESHOLD
 from .factors import Model, index
-from .hill import growth_rate
+from .hill import MAX_N_MODES, WaveRefinementError, growth_rate
 from .stokes import ResonanceError
 
 
@@ -52,28 +52,29 @@ class RunConfig:
     out: str | None = None
     curves_out: str | None = None
     format: str = "csv"
-    threads: int = 1
     limit: bool = False
     conv_tol: float = 1e-2
 
     def validate(self) -> None:
-        if self.kappa is not None and not self.kappa > 0.0:
-            raise ValueError(f"precondition violated: kappa > 0 (got {self.kappa})")
-        for label, value in (("bond", self.bond),):
-            if value is not None and not value >= 0.0:
-                raise ValueError(f"precondition violated: {label} >= 0 (got {value})")
-        if self.bonds is not None and any(not b >= 0.0 for b in self.bonds):
-            raise ValueError(f"precondition violated: bond >= 0 (got {self.bonds})")
+        if self.kappa is not None and not (self.kappa > 0.0 and math.isfinite(self.kappa)):
+            raise ValueError(f"precondition violated: finite kappa > 0 (got {self.kappa})")
+        if self.bond is not None and not (self.bond >= 0.0 and math.isfinite(self.bond)):
+            raise ValueError(f"precondition violated: finite bond >= 0 (got {self.bond})")
+        if self.bonds is not None and any(not (b >= 0.0 and math.isfinite(b)) for b in self.bonds):
+            raise ValueError(f"precondition violated: finite bond >= 0 (got {self.bonds})")
+        for label, value in (("kmax", self.k_max), ("ymax", self.y_max)):
+            if value is not None and not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"precondition violated: finite {label} > 0 (got {value})")
         if self.xi is not None and not abs(self.xi) <= 0.5:
             raise ValueError(f"precondition violated: |xi| <= 1/2 (got {self.xi})")
         if self.amplitude is not None and not math.isfinite(self.amplitude):
             raise ValueError(f"precondition violated: finite amplitude (got {self.amplitude})")
-        if self.n_modes is not None and self.n_modes < 8:
-            raise ValueError(f"precondition violated: n_modes >= 8 (got {self.n_modes})")
+        if self.n_modes is not None and not 8 <= self.n_modes <= MAX_N_MODES:
+            raise ValueError(
+                f"precondition violated: 8 <= n_modes <= {MAX_N_MODES} (got {self.n_modes})"
+            )
         if self.resolution is not None and self.resolution < 2:
             raise ValueError(f"precondition violated: resolution >= 2 (got {self.resolution})")
-        if self.threads < 1:
-            raise ValueError(f"precondition violated: threads >= 1 (got {self.threads})")
 
 
 def _cmd_index(cfg: RunConfig) -> int:
@@ -173,23 +174,27 @@ def _cmd_diagram(cfg: RunConfig) -> int:
         k_range=(0.0, cfg.k_max),
         ksqrtT_range=(0.0, cfg.y_max),
         resolution=cfg.resolution,
-        threads=cfg.threads,
     )
-    grid_lines = ["kappa,kappa_sqrtT,bond,label"]
-    grid_lines += [
-        f"{_fmt(p.kappa)},{_fmt(p.kappa_sqrtT)},{_fmt(p.bond)},{p.label}"
-        for p in diagram.grid
-    ]
+    # One kappa row at a time; each kappa and y is formatted once.
+    ys = [_fmt(y) for y in diagram.ys.tolist()]
+    with open(cfg.out, "w", newline="\n") as fh:
+        fh.write("kappa,kappa_sqrtT,bond,label\n")
+        for kappa, bonds, labels in zip(diagram.kappas.tolist(), diagram.bonds, diagram.labels):
+            head = _fmt(kappa)
+            fh.write(
+                "".join(
+                    f"{head},{y},{_fmt(bond)},{label}\n"
+                    for y, bond, label in zip(ys, bonds.tolist(), labels.tolist())
+                )
+            )
     curve_lines = ["mechanism,kappa,kappa_sqrtT"]
     for curve in diagram.curves:
         curve_lines += [
             f"{curve.mechanism},{_fmt(k)},{_fmt(y)}" for k, y in curve.points
         ]
-    with open(cfg.out, "w", newline="\n") as fh:
-        fh.write("\n".join(grid_lines) + "\n")
     with open(cfg.curves_out, "w", newline="\n") as fh:
         fh.write("\n".join(curve_lines) + "\n")
-    print(f"wrote {len(diagram.grid)} grid points to {cfg.out}")
+    print(f"wrote {diagram.labels.size} grid points to {cfg.out}")
     print(f"wrote curves to {cfg.curves_out}")
     return 0
 
@@ -248,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which model's index to use (default fdsw2)",
     )
     common.add_argument("--format", choices=["csv", "json"], default="csv")
-    common.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("index", parents=[common], help="evaluate the instability index")
     p.add_argument("--kappa", type=float, required=True)
@@ -276,7 +280,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--bond", type=float, default=0.0)
-    p.add_argument("--n-modes", type=int, default=32)
+    p.add_argument(
+        "--n-modes",
+        type=int,
+        default=32,
+        help=f"Fourier modes -N..N of the truncation, 8 <= N <= {MAX_N_MODES} (default 32)",
+    )
 
     p = sub.add_parser("intervals", parents=[common], help="stability intervals in kappa")
     p.add_argument("--bond", type=float, required=True)
@@ -289,7 +298,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     cfg.model = Model(args.model)
     cfg.format = args.format
-    cfg.threads = args.threads
     if args.command == "index":
         cfg.kappa, cfg.bond = args.kappa, args.bond
     elif args.command == "critical":
@@ -328,6 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         ResonanceError,
         InconclusiveBondError,
         DegenerateQuarticError,
+        WaveRefinementError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,12 +22,19 @@ derivative (k*c)'' -- follows from closed-form differentiation of c**2:
 For k below ``SERIES_KAPPA_THRESHOLD`` the direct forms of m' and m'' lose
 roughly k**-2 digits to cancellation, so a Maclaurin expansion of tanh(k)/k
 (truncated at k**8) is used instead.
+
+The formulas are written once, in plain arithmetic that serves Python
+floats and numpy arrays alike.  :func:`eval_dispersion` evaluates one point
+with ``math``; :func:`eval_dispersion_array` evaluates whole arrays with
+``np.tanh``/``np.sqrt`` and picks the series branch per element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Below this wave number m, m', m'' are evaluated from the series branch.
 SERIES_KAPPA_THRESHOLD = 1e-2
@@ -39,7 +46,7 @@ _S6 = -17.0 / 315.0
 _S8 = 62.0 / 2835.0
 
 
-def _kernel_series(kappa: float) -> tuple[float, float, float]:
+def _kernel_series(kappa):
     x2 = kappa * kappa
     m = 1.0 + x2 * (_S2 + x2 * (_S4 + x2 * (_S6 + x2 * _S8)))
     m1 = kappa * (2.0 * _S2 + x2 * (4.0 * _S4 + x2 * (6.0 * _S6 + x2 * (8.0 * _S8))))
@@ -47,8 +54,8 @@ def _kernel_series(kappa: float) -> tuple[float, float, float]:
     return m, m1, m2
 
 
-def _kernel_direct(kappa: float) -> tuple[float, float, float]:
-    t = math.tanh(kappa)
+def _kernel_direct(kappa, tanh=math.tanh):
+    t = tanh(kappa)
     s = 1.0 - t * t
     m = t / kappa
     m1 = (kappa * s - t) / (kappa * kappa)
@@ -63,9 +70,22 @@ def _kernel(kappa: float) -> tuple[float, float, float]:
     return _kernel_direct(kappa)
 
 
+def _kernel_array(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_kernel` on every element of an array."""
+    # Both branches run on every element; the one not picked may overflow
+    # (series at large kappa) or divide by an underflowed kappa**3 (direct).
+    series = _kernel_series(kappa)
+    direct = _kernel_direct(kappa, np.tanh)
+    small = kappa < SERIES_KAPPA_THRESHOLD
+    return tuple(np.where(small, a, b) for a, b in zip(series, direct))
+
+
 @dataclass(frozen=True)
 class DispersionSample:
-    """Phase speed and derivative quantities at one (kappa, bond) point.
+    """Phase speed and derivative quantities at (kappa, bond).
+
+    The fields are floats from :func:`eval_dispersion` and arrays, broadcast
+    over kappa and bond, from :func:`eval_dispersion_array`.
 
     Attributes
     ----------
@@ -85,24 +105,12 @@ class DispersionSample:
     dcg: float
 
 
-def eval_dispersion(kappa: float, bond: float) -> DispersionSample:
-    """Evaluate c(kappa; T) and all derivative quantities.
-
-    Parameters
-    ----------
-    kappa : wave number, must be > 0.
-    bond : surface-tension coefficient T, must be >= 0.
-    """
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa!r}")
-    if not bond >= 0.0:
-        raise ValueError(f"bond must be nonnegative, got {bond!r}")
-    m, m1, m2 = _kernel(kappa)
+def _sample(kappa, bond, m, m1, m2, sqrt) -> DispersionSample:
     q = 1.0 + bond * kappa * kappa
     c2 = q * m
     dc2 = 2.0 * bond * kappa * m + q * m1
     d2c2 = 2.0 * bond * m + 4.0 * bond * kappa * m1 + q * m2
-    c = math.sqrt(c2)
+    c = sqrt(c2)
     dc = dc2 / (2.0 * c)
     d2c = (d2c2 - 2.0 * dc * dc) / (2.0 * c)
     return DispersionSample(
@@ -117,6 +125,38 @@ def eval_dispersion(kappa: float, bond: float) -> DispersionSample:
     )
 
 
+def eval_dispersion(kappa: float, bond: float) -> DispersionSample:
+    """Evaluate c(kappa; T) and all derivative quantities.
+
+    Parameters
+    ----------
+    kappa : wave number, must be finite and > 0.
+    bond : surface-tension coefficient T, must be finite and >= 0.
+    """
+    if not (kappa > 0.0 and math.isfinite(kappa)):
+        raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
+    if not (bond >= 0.0 and math.isfinite(bond)):
+        raise ValueError(f"bond must be finite and nonnegative, got {bond!r}")
+    return _sample(kappa, bond, *_kernel(kappa), math.sqrt)
+
+
+def eval_dispersion_array(kappa, bond) -> DispersionSample:
+    """:func:`eval_dispersion` at every point of ``kappa`` and ``bond``, broadcast.
+
+    The result's fields are arrays.  Values that overflow become inf or nan
+    without a warning, as the float arithmetic of :func:`eval_dispersion`
+    does.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    bond = np.asarray(bond, dtype=float)
+    if not np.all((kappa > 0.0) & np.isfinite(kappa)):
+        raise ValueError("kappa must be finite and positive everywhere")
+    if not np.all((bond >= 0.0) & np.isfinite(bond)):
+        raise ValueError("bond must be finite and nonnegative everywhere")
+    with np.errstate(all="ignore"):
+        return _sample(kappa, bond, *_kernel_array(kappa), np.sqrt)
+
+
 def eval_dispersion_squared(kappa: float, bond: float) -> float:
     """The Fourier-multiplier symbol c(kappa)**2 = (1 + T*kappa**2)*tanh(kappa)/kappa.
 
@@ -124,10 +164,10 @@ def eval_dispersion_squared(kappa: float, bond: float) -> float:
     extends continuously to 1 (needed when the multiplier acts on the mean
     mode of a periodic function).
     """
-    if not kappa >= 0.0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa!r}")
-    if not bond >= 0.0:
-        raise ValueError(f"bond must be nonnegative, got {bond!r}")
+    if not (kappa >= 0.0 and math.isfinite(kappa)):
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa!r}")
+    if not (bond >= 0.0 and math.isfinite(bond)):
+        raise ValueError(f"bond must be finite and nonnegative, got {bond!r}")
     if kappa == 0.0:
         return 1.0
     m, _, _ = _kernel(kappa)

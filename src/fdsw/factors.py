@@ -17,6 +17,10 @@ unidirectional equations (Whitham, FDCH) only see the right-moving branch of
 the dispersion, so their index uses the one-sided factors
 
     i2- = (kappa*c)' - 1,    i3- = c(kappa) - c(2*kappa).
+
+The factor formulas are written once and serve one point (:func:`index`,
+``factor_i*``) and whole arrays (:func:`factor_arrays`, :func:`index_labels`)
+alike.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .config import BOND_THIRD_TOL, POLE_TOL
-from .dispersion import DispersionSample, eval_dispersion
+from .dispersion import DispersionSample, eval_dispersion, eval_dispersion_array
 
 
 class Model(str, Enum):
@@ -41,6 +47,11 @@ class Model(str, Enum):
     def unidirectional(self) -> bool:
         return self in (Model.WHITHAM, Model.FDCH)
 
+    @property
+    def branch(self) -> Branch:
+        """The branch of i2 and i3 that enters this model's index."""
+        return Branch.MINUS if self.unidirectional else Branch.FULL
+
 
 class Branch(str, Enum):
     FULL = "full"
@@ -54,6 +65,36 @@ class IndexFlag(str, Enum):
     OUTSIDE_VALIDITY = "OutsideValidity"
 
 
+def _factors(
+    s: DispersionSample, s2: DispersionSample, branch: Branch, model: Model | None = None
+) -> tuple:
+    """(i1, i2, i3, i4) from the samples at kappa and 2*kappa.
+
+    i2 and i3 are taken on ``branch``; i4 is None without a model.  Works
+    on float and array samples alike.
+    """
+    if branch is Branch.FULL:
+        i2 = s.cg * s.cg - 1.0
+        i3 = s.c2 - s2.c2
+    elif branch is Branch.MINUS:
+        i2 = s.cg - 1.0
+        i3 = s.c - s2.c
+    else:
+        i2 = s.cg + 1.0
+        i3 = s.c + s2.c
+    i4 = None if model is None else _I4[model](s, s2)
+    return s.dcg, i2, i3, i4
+
+
+def _samples(kappa: float, bond: float) -> tuple[DispersionSample, DispersionSample]:
+    return eval_dispersion(kappa, bond), eval_dispersion(2.0 * kappa, bond)
+
+
+def _array_samples(kappa, bond) -> tuple[DispersionSample, DispersionSample]:
+    kappa = np.asarray(kappa, dtype=float)
+    return eval_dispersion_array(kappa, bond), eval_dispersion_array(2.0 * kappa, bond)
+
+
 def factor_i1(kappa: float, bond: float) -> float:
     """(kappa*c)'' -- vanishes where the group speed has an extremum."""
     return eval_dispersion(kappa, bond).dcg
@@ -61,25 +102,12 @@ def factor_i1(kappa: float, bond: float) -> float:
 
 def factor_i2(kappa: float, bond: float, branch: Branch = Branch.FULL) -> float:
     """((kappa*c)')**2 - 1, or its one-sided factor (kappa*c)' -+ 1."""
-    branch = Branch(branch)
-    cg = eval_dispersion(kappa, bond).cg
-    if branch is Branch.FULL:
-        return cg * cg - 1.0
-    if branch is Branch.MINUS:
-        return cg - 1.0
-    return cg + 1.0
+    return _factors(*_samples(kappa, bond), Branch(branch))[1]
 
 
 def factor_i3(kappa: float, bond: float, branch: Branch = Branch.FULL) -> float:
     """c(kappa)**2 - c(2*kappa)**2, or the one-sided c(kappa) -+ c(2*kappa)."""
-    branch = Branch(branch)
-    s = eval_dispersion(kappa, bond)
-    s2 = eval_dispersion(2.0 * kappa, bond)
-    if branch is Branch.FULL:
-        return s.c2 - s2.c2
-    if branch is Branch.MINUS:
-        return s.c - s2.c
-    return s.c + s2.c
+    return _factors(*_samples(kappa, bond), Branch(branch))[2]
 
 
 def _i4_fdsw2(s: DispersionSample, s2: DispersionSample) -> float:
@@ -136,9 +164,20 @@ _I4 = {
 
 def factor_i4(model: Model, kappa: float, bond: float) -> float:
     """The nonlinearity factor of the index for the given model."""
-    s = eval_dispersion(kappa, bond)
-    s2 = eval_dispersion(2.0 * kappa, bond)
-    return _I4[Model(model)](s, s2)
+    return _I4[Model(model)](*_samples(kappa, bond))
+
+
+def factor_arrays(model: Model, kappa, bond) -> tuple[np.ndarray, ...]:
+    """(i1, i2, i3, i4) of the model's index at every point, broadcast.
+
+    The same values as ``index(model, k, T)`` gives one point at a time,
+    up to the last-ulp difference between ``np.tanh`` and ``math.tanh``.
+    Overflow gives inf or nan without a warning.
+    """
+    model = Model(model)
+    s, s2 = _array_samples(kappa, bond)
+    with np.errstate(all="ignore"):
+        return _factors(s, s2, model.branch, model)
 
 
 @dataclass(frozen=True)
@@ -156,12 +195,22 @@ class IndexReport:
 
     @property
     def classification(self) -> str:
-        """One of 'S', 'U', 'NearPole', 'Inconclusive'."""
+        """One of 'S', 'U', 'NearPole', 'Inconclusive', 'OutsideValidity'."""
         if IndexFlag.BOND_ONE_THIRD in self.flags:
             return "Inconclusive"
         if IndexFlag.NEAR_POLE_I3 in self.flags:
             return "NearPole"
+        if IndexFlag.OUTSIDE_VALIDITY in self.flags:
+            return "OutsideValidity"
         return "U" if self.delta is not None and self.delta < 0.0 else "S"
+
+
+def _on_bond_third(bond):
+    return abs(bond - 1.0 / 3.0) < BOND_THIRD_TOL
+
+
+def _near_pole(i3, s: DispersionSample):
+    return abs(i3) < POLE_TOL * (1.0 + s.c2)
 
 
 def index(model: Model, kappa: float, bond: float) -> IndexReport:
@@ -170,25 +219,18 @@ def index(model: Model, kappa: float, bond: float) -> IndexReport:
     delta < 0 classifies the wave train as modulationally unstable, delta > 0
     as stable.  Near a second-harmonic resonance (i3 within the pole guard)
     delta is undefined and the NearPoleI3 flag is set; on the Bond-number
-    line T = 1/3 the classification is inconclusive and BondOneThird is set.
+    line T = 1/3 the classification is inconclusive and BondOneThird is set;
+    where delta overflows to inf or nan, OutsideValidity is set.  kappa and
+    bond must be finite (ValueError otherwise).
     """
     model = Model(model)
-    s = eval_dispersion(kappa, bond)
-    s2 = eval_dispersion(2.0 * kappa, bond)
-    branch = Branch.MINUS if model.unidirectional else Branch.FULL
-    i1 = s.dcg
-    if branch is Branch.MINUS:
-        i2 = s.cg - 1.0
-        i3 = s.c - s2.c
-    else:
-        i2 = s.cg * s.cg - 1.0
-        i3 = s.c2 - s2.c2
-    i4 = _I4[model](s, s2)
+    s, s2 = _samples(kappa, bond)
+    i1, i2, i3, i4 = _factors(s, s2, model.branch, model)
 
     flags = set()
-    if abs(bond - 1.0 / 3.0) < BOND_THIRD_TOL:
+    if _on_bond_third(bond):
         flags.add(IndexFlag.BOND_ONE_THIRD)
-    if abs(i3) < POLE_TOL * (1.0 + s.c2):
+    if _near_pole(i3, s):
         flags.add(IndexFlag.NEAR_POLE_I3)
         delta = None
     else:
@@ -205,3 +247,27 @@ def index(model: Model, kappa: float, bond: float) -> IndexReport:
         delta=delta,
         flags=frozenset(flags),
     )
+
+
+_LABELS = np.array(["S", "U", "NearPole", "Inconclusive", "OutsideValidity"], dtype=object)
+_S, _U, _NEAR_POLE, _INCONCLUSIVE, _OUTSIDE_VALIDITY = range(len(_LABELS))
+
+
+def index_labels(model: Model, kappa, bond) -> np.ndarray:
+    """``index(model, k, T).classification`` at every point, broadcast.
+
+    Returns an object array of the label strings, in one array pass.
+    """
+    model = Model(model)
+    s, s2 = _array_samples(kappa, bond)
+    with np.errstate(all="ignore"):
+        i1, i2, i3, i4 = _factors(s, s2, model.branch, model)
+        delta = i1 * i2 * i4 / i3
+        # The first condition that holds picks the label, in the precedence
+        # of IndexReport.classification.
+        code = np.select(
+            [_on_bond_third(s.bond), _near_pole(i3, s), ~np.isfinite(delta), delta < 0.0],
+            [_INCONCLUSIVE, _NEAR_POLE, _OUTSIDE_VALIDITY, _U],
+            default=_S,
+        )
+    return _LABELS[code]

@@ -39,6 +39,14 @@ ORIGIN_RADIUS_FACTOR = 10.0
 # Cosine modes carried by the Newton polish of the traveling wave.
 REFINE_MODES = 12
 
+# Largest truncation accepted.  The dense complex matrix takes
+# 16*(4N + 2)**2 bytes: 17 MB at N = 256, and its eigensolve grows as N**3.
+MAX_N_MODES = 256
+
+
+class WaveRefinementError(ArithmeticError):
+    """The Newton polish of the traveling wave did not converge."""
+
 
 def _cos_product(f: np.ndarray, g: np.ndarray, n_out: int) -> np.ndarray:
     out = np.zeros(n_out + 1)
@@ -83,7 +91,7 @@ def _refine_wave(
             jac[:, j] = (residual(xp) - r) / step
         x = x - np.linalg.solve(jac, r)
     else:
-        raise ArithmeticError(
+        raise WaveRefinementError(
             f"wave refinement did not converge at kappa={kappa!r}, bond={bond!r}"
         )
     return x[:m1], x[m1 : 2 * m1], float(x[-1])
@@ -123,8 +131,8 @@ def assemble(
     xi: float, amplitude: float, kappa: float, bond: float, n_modes: int
 ) -> HillProblem:
     """Build the Floquet-Bloch matrix at sideband xi about the wave train."""
-    if n_modes < 8:
-        raise ValueError(f"n_modes must be >= 8, got {n_modes!r}")
+    if not 8 <= n_modes <= MAX_N_MODES:
+        raise ValueError(f"n_modes must be in [8, {MAX_N_MODES}], got {n_modes!r}")
     wave = wave_train(amplitude, kappa, bond)
     if amplitude == 0.0:
         eta = np.zeros(REFINE_MODES + 1)

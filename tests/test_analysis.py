@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from fdsw.analysis import (
+    ROOT_TOL,
     InconclusiveBondError,
     MechanismCurve,
     Verdict,
@@ -12,7 +14,15 @@ from fdsw.analysis import (
     large_T_limit,
     stability_diagram,
 )
-from fdsw.factors import Model, index
+from fdsw.factors import (
+    Model,
+    factor_i1,
+    factor_i2,
+    factor_i3,
+    factor_i4,
+    index,
+    index_labels,
+)
 
 
 def test_fdsw2_unique_i4_root_at_t0():
@@ -36,6 +46,47 @@ def test_find_factor_roots_validates_range():
         find_factor_roots(Model.FDSW2, "i4", 0.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         find_factor_roots(Model.FDSW2, "i9", 0.0, 0.1, 1.0)
+
+
+def _scalar_roots(f, k_lo, k_hi, points):
+    """Reference: scan and bisect one point at a time with the scalar factors."""
+    grid = [float(k) for k in np.geomspace(k_lo, k_hi, points)]
+    values = [f(k) for k in grid]
+    roots = []
+    for i in range(points - 1):
+        if values[i] == 0.0:
+            roots.append(grid[i])
+        elif values[i] * values[i + 1] < 0.0:
+            lo, hi, f_lo = grid[i], grid[i + 1], values[i]
+            while hi - lo > ROOT_TOL:
+                mid = 0.5 * (lo + hi)
+                f_mid = f(mid)
+                if f_lo * f_mid < 0.0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+            roots.append(0.5 * (lo + hi))
+    return roots
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("bond", [0.0, 0.2, 0.5, 3.0])
+def test_batched_roots_match_scalar_scan(model, bond):
+    # np.tanh and math.tanh may differ in the last ulp, which can flip one
+    # bisection step: roots agree to twice the bisection tolerance.
+    branch = model.branch
+    factors = {
+        "i1": lambda k: factor_i1(k, bond),
+        "i2": lambda k: factor_i2(k, bond, branch),
+        "i3": lambda k: factor_i3(k, bond, branch),
+        "i4": lambda k: factor_i4(model, k, bond),
+    }
+    for which, f in factors.items():
+        got = find_factor_roots(model, which, bond, 0.05, 20.0, scan_points=400)
+        want = _scalar_roots(f, 0.05, 20.0, 400)
+        assert len(got) == len(want), which
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 2 * ROOT_TOL, which
 
 
 def test_roots_are_sorted_and_bisected_tightly():
@@ -151,19 +202,41 @@ def test_diagram_grid_and_curves():
 
 
 def test_diagram_inconclusive_on_bond_third_line():
-    from fdsw.analysis import _classify_node
-
-    node = _classify_node(Model.FDSW2, 1.5, 1.5 / math.sqrt(3.0))
+    # a 2x2 grid whose node (1.5, 1.5/sqrt(3)) lies on the line T = 1/3
+    y = 1.5 / math.sqrt(3.0)
+    diagram = stability_diagram(
+        Model.FDSW2, k_range=(0.0, 1.5), ksqrtT_range=(0.0, y), resolution=2, curve_samples=2
+    )
+    node = next(p for p in diagram.grid if p.kappa == 1.5 and p.kappa_sqrtT == y)
     assert abs(node.bond - 1.0 / 3.0) < 1e-9
     assert node.label == "Inconclusive"
 
 
-def test_diagram_deterministic_across_threads():
-    kwargs = dict(k_range=(0.0, 3.0), ksqrtT_range=(0.0, 3.0), resolution=24, curve_samples=12)
-    single = stability_diagram(Model.FDSW2, threads=1, **kwargs)
-    multi = stability_diagram(Model.FDSW2, threads=4, **kwargs)
-    assert single.grid == multi.grid
-    assert single.curves == multi.curves
+@pytest.mark.parametrize("model", list(Model))
+def test_diagram_grid_matches_scalar_index(model):
+    diagram = stability_diagram(model, resolution=25, curve_samples=2)
+    for p in diagram.grid:
+        assert p.bond == (p.kappa_sqrtT / p.kappa) ** 2
+        assert p.label == index(model, p.kappa, p.bond).classification
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_batched_labels_match_index_at_guarded_nodes(model):
+    wilton = find_factor_roots(Model.FDSW2, "i3", 0.2, 1.0, 1.5)[0]
+    kappas = np.array([0.005, 0.3, 1.0, wilton, 1.5, 2.2, 7.0])
+    bonds = np.array([0.0, 0.05, 0.2, 1.0 / 3.0, 1.0 / 3.0 + 5e-10, 0.34, 10.0, 1e300])
+    labels = index_labels(model, kappas[:, None], bonds[None, :])
+    for i, kappa in enumerate(kappas.tolist()):
+        for j, bond in enumerate(bonds.tolist()):
+            assert labels[i, j] == index(model, kappa, bond).classification, (kappa, bond)
+    assert {"S", "U", "Inconclusive"} <= set(labels.ravel())
+    # at T = 1e300 delta overflows (bidirectional models) or i3 falls
+    # inside the pole guard (unidirectional): never a plain "S"
+    assert "S" not in set(labels[:, -1])
+    if not model.unidirectional:
+        assert set(labels[:, -1]) == {"OutsideValidity"}
+    if model is Model.FDSW2:
+        assert labels[3, 2] == "NearPole"
 
 
 def test_diagram_curves_lie_on_grid_label_boundaries():
@@ -196,3 +269,7 @@ def test_diagram_validates_inputs():
         stability_diagram(Model.FDSW2, resolution=1)
     with pytest.raises(ValueError):
         stability_diagram(Model.FDSW2, k_range=(2.0, 1.0))
+    with pytest.raises(ValueError):
+        stability_diagram(Model.FDSW2, k_range=(0.0, math.inf))
+    with pytest.raises(ValueError):
+        stability_diagram(Model.FDSW2, ksqrtT_range=(0.0, math.nan))

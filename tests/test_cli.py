@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from fdsw.analysis import stability_diagram
 from fdsw.cli import main
 from fdsw.factors import Model, index
+from fdsw.hill import MAX_N_MODES
 
 
 def run_cli(capsys, *args):
@@ -118,7 +120,7 @@ def test_diagram_files(tmp_path, capsys):
     out_path = tmp_path / "diagram.csv"
     code, _, _ = run_cli(
         capsys, "diagram", "--model", "fdsw2", "--out", str(out_path),
-        "--resolution", "60", "--threads", "2",
+        "--resolution", "60",
     )
     assert code == 0
     content = out_path.read_bytes()
@@ -137,16 +139,55 @@ def test_diagram_files(tmp_path, capsys):
     assert any(abs(float(line.split(",")[1]) - 1.008) < 0.002 for line in r4_axis)
 
 
-def test_diagram_determinism_across_threads(tmp_path, capsys):
-    paths = []
-    for threads in ("1", "3"):
-        out_path = tmp_path / f"d{threads}.csv"
-        run_cli(
-            capsys, "diagram", "--model", "whitham", "--out", str(out_path),
-            "--resolution", "30", "--threads", threads,
-        )
-        paths.append(out_path.read_bytes())
-    assert paths[0] == paths[1]
+def test_diagram_csv_matches_grid_points(tmp_path, capsys):
+    # the streamed CSV equals one line per GridPoint, formatted as _fmt does
+    out_path = tmp_path / "d.csv"
+    code, _, _ = run_cli(
+        capsys, "diagram", "--model", "whitham", "--out", str(out_path), "--resolution", "30",
+    )
+    assert code == 0
+    diagram = stability_diagram(Model.WHITHAM, resolution=30)
+    lines = ["kappa,kappa_sqrtT,bond,label"] + [
+        f"{p.kappa:.17g},{p.kappa_sqrtT:.17g},{p.bond:.17g},{p.label}" for p in diagram.grid
+    ]
+    assert out_path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("index", "--kappa", "inf"),
+        ("index", "--kappa", "nan"),
+        ("index", "--kappa", "1", "--bond", "inf"),
+        ("critical", "--bond", "nan"),
+        ("diagram", "--kmax", "inf", "--out", "unused.csv"),
+        ("diagram", "--ymax", "-1", "--out", "unused.csv"),
+        ("diagram", "--ymax", "1e200", "--resolution", "2", "--out", "unused.csv"),
+        # the cap is enforced by validation, before any matrix is allocated
+        ("hill", "--xi", "0.01", "--amplitude", "0.01", "--kappa", "1",
+         "--n-modes", str(MAX_N_MODES + 1)),
+    ],
+)
+def test_invalid_inputs_exit_2(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_index_overflow_is_outside_validity(capsys):
+    code, out, _ = run_cli(capsys, "index", "--model", "fdsw2", "--kappa", "1", "--bond", "1e300")
+    assert code == 0
+    assert "classification = OutsideValidity" in out
+
+
+def test_hill_refinement_failure_exit_code(capsys):
+    code, out, err = run_cli(
+        capsys, "hill", "--amplitude", "10", "--kappa", "1", "--xi", "0.01",
+    )
+    assert code == 2
+    assert out == ""
+    assert "did not converge" in err
 
 
 def test_diagram_io_error_exit_code(tmp_path, capsys):

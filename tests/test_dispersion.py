@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from fdsw.dispersion import (
     SERIES_KAPPA_THRESHOLD,
     _kernel_direct,
     _kernel_series,
     eval_dispersion,
+    eval_dispersion_array,
     eval_dispersion_squared,
 )
 
@@ -58,6 +61,37 @@ def test_domain_errors():
         eval_dispersion_squared(-1e-8, 0.0)
     with pytest.raises(ValueError):
         eval_dispersion(float("nan"), 0.0)
+    with pytest.raises(ValueError):
+        eval_dispersion(math.inf, 0.0)
+    with pytest.raises(ValueError):
+        eval_dispersion(1.0, math.inf)
+    with pytest.raises(ValueError):
+        eval_dispersion_squared(math.inf, 0.0)
+    with pytest.raises(ValueError):
+        eval_dispersion_array(np.array([1.0, math.inf]), 0.0)
+    with pytest.raises(ValueError):
+        eval_dispersion_array(np.array([1.0, 0.0]), 0.0)
+    with pytest.raises(ValueError):
+        eval_dispersion_array(1.0, np.array([0.0, -1.0]))
+
+
+def test_array_kernel_matches_scalar():
+    # The series branch is the same arithmetic, so it agrees exactly; the
+    # direct branch differs only through np.tanh vs math.tanh (a few ulp),
+    # amplified by the branch's cancellation (about kappa**-2 ulp, so 400 at
+    # kappa = 0.05) in the derivatives.
+    kappas = np.array([1e-4, 5e-3, SERIES_KAPPA_THRESHOLD * (1 - 1e-9), 0.05, 0.7, 1.0, 3.0, 17.0])
+    bonds = np.array([0.0, 0.2, 1.0 / 3.0, 10.0])
+    arr = eval_dispersion_array(kappas[:, None], bonds[None, :])
+    for i, kappa in enumerate(kappas.tolist()):
+        for j, bond in enumerate(bonds.tolist()):
+            s = eval_dispersion(kappa, bond)
+            for name in ("c", "c2", "dc", "d2c", "cg", "dcg"):
+                got, want = getattr(arr, name)[i, j], getattr(s, name)
+                if kappa < SERIES_KAPPA_THRESHOLD:
+                    assert got == want, (name, kappa, bond)
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (name, kappa, bond)
 
 
 def test_internal_consistency_exact():

@@ -142,6 +142,18 @@ def test_bond_one_third_flag():
     assert IndexFlag.BOND_ONE_THIRD not in index(Model.FDSW2, 1.0, 0.34).flags
 
 
+def test_index_rejects_non_finite_inputs():
+    for kappa, bond in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            index(Model.FDSW2, kappa, bond)
+
+
+def test_overflow_is_outside_validity_not_stable():
+    rep = index(Model.FDSW2, 1.0, 1e300)
+    assert IndexFlag.OUTSIDE_VALIDITY in rep.flags
+    assert rep.classification == "OutsideValidity"
+
+
 def test_fdsw2_t0_factor_signs_on_grid():
     for i in range(1000):
         kappa = 0.01 * math.exp(math.log(2000.0) * i / 999.0)  # 0.01 .. 20

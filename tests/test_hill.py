@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdsw.dispersion import eval_dispersion
-from fdsw.hill import assemble, growth_rate, growth_rate_band
+from fdsw.hill import MAX_N_MODES, WaveRefinementError, assemble, growth_rate, growth_rate_band
 from fdsw.stokes import wave_train
 
 
@@ -113,3 +113,12 @@ def test_band_sweep_catches_narrow_bands():
 def test_n_modes_validation():
     with pytest.raises(ValueError):
         assemble(0.0, 0.0, 1.0, 0.0, 4)
+    # the cap is checked before anything is allocated
+    with pytest.raises(ValueError):
+        assemble(0.0, 0.0, 1.0, 0.0, MAX_N_MODES + 1)
+
+
+def test_refinement_failure_is_a_named_arithmetic_error():
+    with pytest.raises(WaveRefinementError):
+        growth_rate(0.01, 10.0, 1.0, 0.0, 32)
+    assert issubclass(WaveRefinementError, ArithmeticError)
