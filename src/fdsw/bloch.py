@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 
 import numpy as np
 
@@ -112,27 +111,13 @@ def eigenbasis(xi: float, amplitude: float, kappa: float, bond: float) -> EigenB
 
 
 def _pencil_determinant(L: np.ndarray, I: np.ndarray) -> np.ndarray:
-    """Coefficients of det(L - lambda*I), ascending in lambda (length 5)."""
-    quartic = np.zeros(5, dtype=complex)
-    for perm in permutations(range(4)):
-        sign = 1
-        seen = [False] * 4
-        for i in range(4):  # parity via cycle decomposition
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = np.array([1.0 + 0.0j])
-        for row in range(4):
-            col = perm[row]
-            term = np.convolve(term, np.array([L[row, col], -I[row, col]]))
-        quartic[: len(term)] += sign * term
-    return quartic
+    """Coefficients of det(L - lambda*I), ascending in lambda (length 5).
+
+    det(L - lambda*I) = det(I) * det(I^-1 L - lambda), and for a 4x4 matrix
+    det(A - lambda) is the characteristic polynomial np.poly(A).
+    """
+    quartic = np.linalg.det(I) * np.poly(np.linalg.solve(I, L))
+    return np.asarray(quartic[::-1], dtype=complex)
 
 
 def build_matrices(xi: float, amplitude: float, kappa: float, bond: float) -> BlochMatrices:

@@ -56,6 +56,11 @@ class RunConfig:
     conv_tol: float = 1e-2
 
     def validate(self) -> None:
+        if self.command == "hill" and self.model is not Model.FDSW2:
+            raise ValueError(
+                f"hill: the spectrum is that of the fdsw2 system only, so it cannot check "
+                f"the {self.model.value} index; use --model fdsw2"
+            )
         if self.kappa is not None and not (self.kappa > 0.0 and math.isfinite(self.kappa)):
             raise ValueError(f"precondition violated: finite kappa > 0 (got {self.kappa})")
         if self.bond is not None and not (self.bond >= 0.0 and math.isfinite(self.bond)):

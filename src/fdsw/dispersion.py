@@ -26,7 +26,9 @@ roughly k**-2 digits to cancellation, so a Maclaurin expansion of tanh(k)/k
 The formulas are written once, in plain arithmetic that serves Python
 floats and numpy arrays alike.  :func:`eval_dispersion` evaluates one point
 with ``math``; :func:`eval_dispersion_array` evaluates whole arrays with
-``np.tanh``/``np.sqrt`` and picks the series branch per element.
+``np.tanh``/``np.sqrt`` and picks the series branch per element; likewise
+:func:`eval_dispersion_squared` and :func:`eval_dispersion_squared_array`
+for the Fourier-multiplier symbol alone.
 """
 
 from __future__ import annotations
@@ -172,3 +174,20 @@ def eval_dispersion_squared(kappa: float, bond: float) -> float:
         return 1.0
     m, _, _ = _kernel(kappa)
     return (1.0 + bond * kappa * kappa) * m
+
+
+def eval_dispersion_squared_array(kappa, bond) -> np.ndarray:
+    """:func:`eval_dispersion_squared` at every point of ``kappa`` and ``bond``, broadcast.
+
+    kappa = 0 maps to 1, as in the scalar form: the series branch of the
+    kernel is exact there.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    bond = np.asarray(bond, dtype=float)
+    if not np.all((kappa >= 0.0) & np.isfinite(kappa)):
+        raise ValueError("kappa must be finite and nonnegative everywhere")
+    if not np.all((bond >= 0.0) & np.isfinite(bond)):
+        raise ValueError("bond must be finite and nonnegative everywhere")
+    with np.errstate(all="ignore"):
+        m, _, _ = _kernel_array(kappa)
+        return (1.0 + bond * kappa * kappa) * m

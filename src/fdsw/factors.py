@@ -209,8 +209,11 @@ def _on_bond_third(bond):
     return abs(bond - 1.0 / 3.0) < BOND_THIRD_TOL
 
 
-def _near_pole(i3, s: DispersionSample):
-    return abs(i3) < POLE_TOL * (1.0 + s.c2)
+def _near_pole(i3, s: DispersionSample, branch: Branch):
+    # The guard is relative to i3's own scale: c**2 for the full factor,
+    # c for the one-sided ones.
+    scale = s.c2 if branch is Branch.FULL else s.c
+    return abs(i3) < POLE_TOL * (1.0 + scale)
 
 
 def index(model: Model, kappa: float, bond: float) -> IndexReport:
@@ -230,7 +233,7 @@ def index(model: Model, kappa: float, bond: float) -> IndexReport:
     flags = set()
     if _on_bond_third(bond):
         flags.add(IndexFlag.BOND_ONE_THIRD)
-    if _near_pole(i3, s):
+    if _near_pole(i3, s, model.branch):
         flags.add(IndexFlag.NEAR_POLE_I3)
         delta = None
     else:
@@ -266,7 +269,12 @@ def index_labels(model: Model, kappa, bond) -> np.ndarray:
         # The first condition that holds picks the label, in the precedence
         # of IndexReport.classification.
         code = np.select(
-            [_on_bond_third(s.bond), _near_pole(i3, s), ~np.isfinite(delta), delta < 0.0],
+            [
+                _on_bond_third(s.bond),
+                _near_pole(i3, s, model.branch),
+                ~np.isfinite(delta),
+                delta < 0.0,
+            ],
             [_INCONCLUSIVE, _NEAR_POLE, _OUTSIDE_VALIDITY, _U],
             default=_S,
         )

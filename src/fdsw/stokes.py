@@ -18,16 +18,26 @@ with harmonic coefficients
 
 h2 blows up at a second-harmonic (Wilton ripple) resonance c(k) = c(2k),
 h0 at a mean-flow resonance c(k) = 1; both raise :class:`ResonanceError`.
+
+The system is written once, on cosine coefficients, in :func:`wave_residual`.
+It is bilinear, so :func:`wave_jacobian` is its exact derivative, and
+:func:`polish_wave` Newton-solves it from the expansion.
+:func:`residual_periodic` measures the expansion's own residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import POLE_TOL
-from .dispersion import eval_dispersion, eval_dispersion_squared
+from .dispersion import (
+    eval_dispersion,
+    eval_dispersion_squared,
+    eval_dispersion_squared_array,
+)
 
 
 class ResonanceError(ValueError):
@@ -111,37 +121,155 @@ def check_resonance_admissible(kappa: float, bond: float, n_max: int) -> list[in
     return hits
 
 
-def _cos_product(f: np.ndarray, g: np.ndarray, n_out: int) -> np.ndarray:
-    """Cosine coefficients 0..n_out of the product of two cosine series."""
-    nf, ng = len(f), len(g)
-    out = np.zeros(n_out + 1)
-    # cos(i z)*cos(j z) = (cos((i+j) z) + cos(|i-j| z)) / 2
-    for i in range(nf):
-        for j in range(ng):
-            half = 0.5 * f[i] * g[j]
-            for m in (i + j, abs(i - j)):
-                if m <= n_out:
-                    out[m] += half
+def cos_product_matrix(f: np.ndarray, modes: int) -> np.ndarray:
+    """The matrix C(f) of multiplication by the cosine series f on modes 0..modes.
+
+    ``C(f) @ g`` holds the cosine coefficients 0..modes of the product of
+    f and g, g given on modes 0..modes; coefficients of f beyond 2*modes
+    cannot reach the output and are ignored.  With w the exponential
+    weights of f (w[0] = f[0], w[k] = f[k]/2), cos(i z)*cos(j z) =
+    (cos((i+j) z) + cos(|i-j| z))/2 gives
+
+        C[m, j] = w[|m-j|] + w[m+j],   halved on the mean row m = 0.
+
+    The product is bilinear and symmetric, so C(f) @ g == C(g) @ f.
+    """
+    w = np.zeros(2 * modes + 1)
+    take = min(len(f), w.size)
+    w[:take] = 0.5 * f[:take]
+    w[0] = f[0]
+    m = np.arange(modes + 1)
+    out = w[np.abs(m[:, None] - m)] + w[m[:, None] + m]
+    out[0] *= 0.5
     return out
+
+
+# Newton polish of the traveling wave: cosine modes carried, the tolerance on
+# the largest residual coefficient, and the iteration limit.
+POLISH_MODES = 12
+POLISH_TOL = 1e-12
+POLISH_MAX_ITER = 25
+
+
+class WaveRefinementError(ArithmeticError):
+    """The Newton polish of the traveling wave did not converge."""
+
+
+def wave_symbol(kappa: float, bond: float, modes: int) -> np.ndarray:
+    """The multiplier c2(kappa*n) on cosine modes n = 0..modes."""
+    return eval_dispersion_squared_array(kappa * np.arange(modes + 1), bond)
+
+
+def wave_residual(x: np.ndarray, symbol: np.ndarray, amplitude: float) -> np.ndarray:
+    """Residual of the periodic traveling-wave system, pinned by u_1 = a.
+
+    ``x`` stacks the cosine coefficients of eta and u on modes 0..M and the
+    speed c, so it has length 2*(M + 1) + 1; ``symbol`` is
+    :func:`wave_symbol` on the same modes.  The result stacks the two
+    equations mode by mode and then the pin u_1 - a.
+    """
+    eta, u, c = _unpack(x)
+    conv_u = cos_product_matrix(u, len(u) - 1)
+    r1 = -c * eta + symbol * u + conv_u @ eta
+    r2 = -c * u + eta + 0.5 * (conv_u @ u)
+    return np.concatenate([r1, r2, [u[1] - amplitude]])
+
+
+def wave_jacobian(x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of :func:`wave_residual` in ``x``.
+
+    The system is bilinear in (eta, u, c), so the derivative is exact:
+
+        d r1 = (-c + C(u)) d eta + (diag(symbol) + C(eta)) d u - eta d c
+        d r2 = d eta + (-c + C(u)) d u - u d c
+        d pin = d u_1
+    """
+    eta, u, c = _unpack(x)
+    modes = len(u) - 1
+    m1 = modes + 1
+    ident = np.eye(m1)
+    shifted = cos_product_matrix(u, modes) - c * ident
+    jac = np.zeros((x.size, x.size))
+    jac[:m1, :m1] = shifted
+    jac[:m1, m1:-1] = np.diag(symbol) + cos_product_matrix(eta, modes)
+    jac[:m1, -1] = -eta
+    jac[m1:-1, :m1] = ident
+    jac[m1:-1, m1:-1] = shifted
+    jac[m1:-1, -1] = -u
+    jac[-1, m1 + 1] = 1.0
+    return jac
+
+
+def _pack(eta, u, c: float, modes: int) -> np.ndarray:
+    x = np.zeros(2 * (modes + 1) + 1)
+    x[: len(eta)] = eta
+    x[modes + 1 : modes + 1 + len(u)] = u
+    x[-1] = c
+    return x
+
+
+def _unpack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    m1 = (x.size - 1) // 2
+    return x[:m1], x[m1:-1], x[-1]
+
+
+@dataclass(frozen=True)
+class PolishedWave:
+    """The traveling wave solved to :data:`POLISH_TOL` on cosine modes 0..M.
+
+    ``iterations`` counts the Newton steps taken (0 when the expansion
+    already meets the tolerance, as at a = 0) and ``residual`` is the
+    largest residual coefficient of the returned state.
+    """
+
+    wave: WaveTrain  # the second-order expansion the polish started from
+    eta_coeffs: np.ndarray
+    u_coeffs: np.ndarray
+    speed: float
+    iterations: int
+    residual: float
+
+
+def polish_wave(wave: WaveTrain) -> PolishedWave:
+    """Newton-solve the traveling-wave system from the expansion ``wave``.
+
+    The unknowns are the cosine coefficients of eta and u on modes
+    0..:data:`POLISH_MODES` and the speed; u_1 stays pinned at the
+    amplitude.  Raises :class:`WaveRefinementError` when the residual is not
+    below :data:`POLISH_TOL` within :data:`POLISH_MAX_ITER` evaluations.
+    """
+    symbol = wave_symbol(wave.kappa, wave.bond, POLISH_MODES)
+    x = _pack(wave.eta_coeffs, wave.u_coeffs, wave.speed, POLISH_MODES)
+    for iterations in range(POLISH_MAX_ITER):
+        r = wave_residual(x, symbol, wave.amplitude)
+        residual = float(np.max(np.abs(r)))
+        if residual < POLISH_TOL or not math.isfinite(residual):
+            break
+        x = x - np.linalg.solve(wave_jacobian(x, symbol), r)
+    if not residual < POLISH_TOL:
+        raise WaveRefinementError(
+            f"wave refinement did not converge at kappa={wave.kappa!r}, bond={wave.bond!r}"
+        )
+    eta, u, c = _unpack(x)
+    return PolishedWave(
+        wave=wave,
+        eta_coeffs=eta,
+        u_coeffs=u,
+        speed=float(c),
+        iterations=iterations,
+        residual=residual,
+    )
 
 
 def residual_periodic(wave: WaveTrain, modes: int) -> float:
     """Largest Fourier-coefficient magnitude of the traveling-wave residual.
 
-    Both equations of the periodic system are evaluated spectrally on the
-    truncated profiles (the multiplier acts mode-wise as c2(kappa*n)); the
+    The truncated profiles are put into :func:`wave_residual` on cosine
+    modes 0..modes (the multiplier acts mode-wise as c2(kappa*n)); the
     truncation makes the result O(a^3).
     """
     if modes < 4:
         raise ValueError(f"modes must be >= 4, got {modes!r}")
-    eta = np.zeros(modes + 1)
-    u = np.zeros(modes + 1)
-    eta[:3] = wave.eta_coeffs
-    u[:3] = wave.u_coeffs
-    c = wave.speed
-    sym = np.array(
-        [eval_dispersion_squared(wave.kappa * n, wave.bond) for n in range(modes + 1)]
-    )
-    r1 = -c * eta + sym * u + _cos_product(u, eta, modes)
-    r2 = -c * u + eta + 0.5 * _cos_product(u, u, modes)
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+    x = _pack(wave.eta_coeffs, wave.u_coeffs, wave.speed, modes)
+    symbol = wave_symbol(wave.kappa, wave.bond, modes)
+    return float(np.max(np.abs(wave_residual(x, symbol, wave.amplitude))))

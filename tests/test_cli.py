@@ -116,6 +116,17 @@ def test_hill_validation(capsys):
     assert "xi" in err
 
 
+@pytest.mark.parametrize("model", ["whitham", "fdch", "fdsw1"])
+def test_hill_rejects_models_without_a_spectral_oracle(capsys, model):
+    code, out, err = run_cli(
+        capsys, "hill", "--model", model, "--xi", "0.01", "--amplitude", "0.01",
+        "--kappa", "1.3", "--bond", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "fdsw2" in err
+
+
 def test_diagram_files(tmp_path, capsys):
     out_path = tmp_path / "diagram.csv"
     code, _, _ = run_cli(

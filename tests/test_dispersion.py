@@ -13,6 +13,7 @@ from fdsw.dispersion import (
     eval_dispersion,
     eval_dispersion_array,
     eval_dispersion_squared,
+    eval_dispersion_squared_array,
 )
 
 # mpmath (50 digits) reference values
@@ -92,6 +93,20 @@ def test_array_kernel_matches_scalar():
                     assert got == want, (name, kappa, bond)
                 else:
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (name, kappa, bond)
+
+
+def test_array_symbol_matches_scalar():
+    # m = tanh(k)/k has no cancellation, so np.tanh vs math.tanh stays a few ulp
+    kappas = np.array([0.0, 1e-4, 5e-3, 0.05, 0.7, 1.0, 3.0, 17.0, 400.0])
+    bonds = np.array([0.0, 0.2, 10.0])
+    arr = eval_dispersion_squared_array(kappas[:, None], bonds[None, :])
+    for i, kappa in enumerate(kappas.tolist()):
+        for j, bond in enumerate(bonds.tolist()):
+            assert arr[i, j] == pytest.approx(eval_dispersion_squared(kappa, bond), rel=1e-15)
+    assert np.all(arr[0] == 1.0)
+    for kappa, bond in (([1.0, -1e-8], 0.0), ([1.0, math.nan], 0.0), (1.0, [0.0, math.inf])):
+        with pytest.raises(ValueError):
+            eval_dispersion_squared_array(kappa, bond)
 
 
 def test_internal_consistency_exact():

@@ -13,6 +13,7 @@ from fdsw.factors import (
     factor_i3,
     factor_i4,
     index,
+    index_labels,
 )
 
 I1_1_0 = -0.41040652201376677615  # 2*c'(1) + c''(1), mpmath reference
@@ -133,6 +134,39 @@ def test_near_pole_flag_at_second_harmonic_resonance():
     assert IndexFlag.NEAR_POLE_I3 in rep.flags
     assert rep.delta is None
     assert rep.classification == "NearPole"
+
+
+def _bisect_i3(bond, lo, hi, branch):
+    f = lambda k: factor_i3(k, bond, branch)
+    f_lo = f(lo)
+    assert f_lo * f(hi) < 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if f_lo * f(mid) < 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f(mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "model, kappa, bond",
+    [(Model.WHITHAM, 3.0, 1e19), (Model.WHITHAM, 1.0, 1e20), (Model.FDCH, 0.1, 1e22)],
+)
+def test_one_sided_pole_guard_scales_with_c(model, kappa, bond):
+    # far from any resonance at large T: the one-sided i3 is of order c, so
+    # a guard of order c**2 would call these nodes NearPole
+    rep = index(model, kappa, bond)
+    assert IndexFlag.NEAR_POLE_I3 not in rep.flags
+    assert rep.classification == index(model, kappa, 1e18).classification == "U"
+    assert index_labels(model, kappa, bond) == "U"
+
+
+@pytest.mark.parametrize("model", [Model.WHITHAM, Model.FDCH])
+def test_one_sided_pole_guard_keeps_second_harmonic_resonance(model):
+    wilton = _bisect_i3(0.2, 1.0, 1.5, Branch.MINUS)
+    assert index(model, wilton, 0.2).classification == "NearPole"
+    assert index_labels(model, wilton, 0.2) == "NearPole"
 
 
 def test_bond_one_third_flag():

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+import fdsw.hill
 from fdsw.dispersion import eval_dispersion
 from fdsw.hill import MAX_N_MODES, WaveRefinementError, assemble, growth_rate, growth_rate_band
-from fdsw.stokes import wave_train
+from fdsw.stokes import POLISH_TOL, wave_train
+
+
+def _same_multiset(found, expected, tol):
+    # every value of each set is within tol of some value of the other
+    assert found.size == expected.size
+    assert np.abs(found[:, None] - expected[None, :]).min(axis=1).max() < tol
+    assert np.abs(found[:, None] - expected[None, :]).min(axis=0).max() < tol
 
 
 def test_zero_amplitude_matrix_is_block_diagonal():
@@ -122,3 +130,42 @@ def test_refinement_failure_is_a_named_arithmetic_error():
     with pytest.raises(WaveRefinementError):
         growth_rate(0.01, 10.0, 1.0, 0.0, 32)
     assert issubclass(WaveRefinementError, ArithmeticError)
+
+
+@pytest.mark.parametrize("xi, a, kappa, bond", [(0.01, 0.01, 2.0, 0.0), (0.3, 0.05, 1.2, 0.4)])
+def test_real_form_has_the_complex_spectrum(xi, a, kappa, bond):
+    prob = assemble(xi, a, kappa, bond, 16)
+    assert prob.real_matrix.dtype == np.float64
+    np.testing.assert_array_equal(prob.matrix, 1j * prob.real_matrix)
+    _same_multiset(
+        1j * np.linalg.eigvals(prob.real_matrix), np.linalg.eigvals(prob.matrix), 1e-10
+    )
+
+
+@pytest.mark.parametrize("kappa, bond", [(2.0, 0.0), (2.0, 5.0), (0.8, 0.2)])
+def test_band_is_the_max_over_its_ladder(kappa, bond):
+    ladder = [growth_rate(0.01 / 2**j, 0.01, kappa, bond, 32) for j in range(4)]
+    assert growth_rate_band(0.01, 0.01, kappa, bond, 32) == max(ladder)
+
+
+def test_band_polishes_the_wave_once(monkeypatch):
+    calls = []
+    polish = fdsw.hill.polish_wave
+
+    def counted(wave):
+        calls.append(wave)
+        return polish(wave)
+
+    monkeypatch.setattr(fdsw.hill, "polish_wave", counted)
+    growth_rate_band(0.01, 0.01, 2.0, 5.0, 32, n_xi=4)
+    assert len(calls) == 1
+
+
+def test_polish_diagnostics():
+    prob = assemble(0.01, 0.01, 2.0, 0.0, 16)
+    assert prob.newton_iterations >= 1
+    assert prob.newton_residual < POLISH_TOL
+    # the unperturbed wave solves the system as it stands
+    flat = assemble(0.01, 0.0, 2.0, 0.0, 16)
+    assert flat.newton_iterations == 0
+    assert flat.newton_residual == 0.0

@@ -1,13 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 
+from fdsw.dispersion import eval_dispersion_squared
 from fdsw.factors import Branch, Model, factor_i3
 from fdsw.stokes import (
+    POLISH_MODES,
     ResonanceError,
     check_resonance_admissible,
+    cos_product_matrix,
     harmonic_coeffs,
+    polish_wave,
     residual_periodic,
+    wave_jacobian,
+    wave_residual,
+    wave_symbol,
     wave_train,
 )
 
@@ -128,3 +136,75 @@ def test_h2_pole_coincides_with_i3_root():
     # just outside the guard band both exist again
     h0, h2 = harmonic_coeffs(wilton + 1e-6, 0.2)
     assert abs(h2) > 1e4
+
+
+def loop_cos_product(f, g, n_out):
+    """Cosine coefficients 0..n_out of the product of two cosine series."""
+    out = np.zeros(n_out + 1)
+    for i in range(len(f)):
+        for j in range(len(g)):
+            half = 0.5 * f[i] * g[j]
+            for m in (i + j, abs(i - j)):
+                if m <= n_out:
+                    out[m] += half
+    return out
+
+
+def loop_residual(wave, modes):
+    """The periodic residual evaluated term by term with the scalar symbol."""
+    eta = np.zeros(modes + 1)
+    u = np.zeros(modes + 1)
+    eta[:3] = wave.eta_coeffs
+    u[:3] = wave.u_coeffs
+    c = wave.speed
+    sym = np.array([eval_dispersion_squared(wave.kappa * n, wave.bond) for n in range(modes + 1)])
+    r1 = -c * eta + sym * u + loop_cos_product(u, eta, modes)
+    r2 = -c * u + eta + 0.5 * loop_cos_product(u, u, modes)
+    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+
+
+@pytest.mark.parametrize("n_f, modes", [(3, 4), (6, 5), (13, 12), (30, 8)])
+def test_cos_product_matrix_matches_loop(n_f, modes):
+    rng = np.random.default_rng(n_f)
+    f, g = rng.normal(size=n_f), rng.normal(size=modes + 1)
+    expected = loop_cos_product(f, g, modes)
+    np.testing.assert_allclose(cos_product_matrix(f, modes) @ g, expected, atol=1e-14)
+    if n_f == modes + 1:
+        np.testing.assert_allclose(cos_product_matrix(g, modes) @ f, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "a, kappa, bond",
+    [(1e-2, 1.0, 0.0), (1e-3, 1.0, 0.0), (1e-4, 1.0, 0.0), (0.05, 1.7, 0.2), (0.02, 0.4, 3.0)],
+)
+def test_residual_matches_term_by_term_evaluation(a, kappa, bond):
+    wave = wave_train(a, kappa, bond)
+    # the O(a) terms cancel, so agreement is to round-off of those terms
+    assert residual_periodic(wave, 16) == pytest.approx(loop_residual(wave, 16), abs=1e-15 * a)
+
+
+def test_analytic_jacobian_matches_central_difference():
+    wave = polish_wave(wave_train(0.05, 1.3, 0.2))
+    symbol = wave_symbol(1.3, 0.2, POLISH_MODES)
+    rng = np.random.default_rng(3)
+    x = np.concatenate([wave.eta_coeffs, wave.u_coeffs, [wave.speed]])
+    x = x + 1e-2 * rng.normal(size=x.size)
+    h = 1e-6
+    numeric = np.empty((x.size, x.size))
+    for j in range(x.size):
+        step = np.zeros(x.size)
+        step[j] = h
+        forward = wave_residual(x + step, symbol, 0.05)
+        numeric[:, j] = (forward - wave_residual(x - step, symbol, 0.05)) / (2 * h)
+    exact = wave_jacobian(x, symbol)
+    assert np.abs(exact - numeric).max() < 1e-6 * np.abs(exact).max()
+
+
+def test_polish_solves_the_system():
+    wave = wave_train(0.05, 1.3, 0.2)
+    polished = polish_wave(wave)
+    x = np.concatenate([polished.eta_coeffs, polished.u_coeffs, [polished.speed]])
+    symbol = wave_symbol(1.3, 0.2, POLISH_MODES)
+    assert np.abs(wave_residual(x, symbol, 0.05)).max() == polished.residual < 1e-12
+    assert polished.u_coeffs[1] == pytest.approx(0.05, abs=1e-15)
+    assert 1 <= polished.iterations < 25
