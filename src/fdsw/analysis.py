@@ -9,7 +9,8 @@ intervals, and assembles (kappa, kappa*sqrt(T)) stability diagrams.
 
 All root finding goes through one batched finder, :func:`_factor_roots`:
 a sign-change scan of the factors on a (Bond number x kappa) grid, then a
-masked vector bisection of every bracket at once.
+masked vector bisection of every bracket at once, several steps per factor
+pass when few brackets are left.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from .factors import Model, factor_arrays, index, index_labels
 # Bond line T = 1/3.
 SCAN_POINTS = 2000
 ROOT_TOL = 1e-10
+# Points per factor pass of the bisection.  A factor pass on one point costs
+# nearly as much as one on a few hundred, so a few live brackets take
+# several bisection steps per pass (see _bisect).
+PASS_POINTS = 512
 
 MECHANISM_FACTORS = ("i1", "i2", "i3", "i4")
 MECHANISM_NAMES = {"i1": "R1", "i2": "R2", "i3": "R3", "i4": "R4"}
@@ -108,13 +113,51 @@ def _factor_roots(
     return _Roots(factor=factor, ray=ray, root=root, lo=lo, hi=hi, iterations=iterations)
 
 
+def _pass_depth(n_live: int) -> int:
+    """Bisection steps per factor pass for ``n_live`` brackets.
+
+    The largest depth whose subtrees, 2**depth - 1 points per bracket, fit
+    in PASS_POINTS points, and at least 1.
+    """
+    return max(1, (PASS_POINTS // n_live + 1).bit_length() - 1)
+
+
+def _subtree_midpoints(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
+    """Every midpoint the next ``depth`` bisection steps of [lo, hi] can visit.
+
+    Row i holds the 2**depth - 1 midpoints of bracket i in heap order:
+    column 0 is the first midpoint, and the midpoints of the left and right
+    halves of column c are columns 2c + 1 and 2c + 2.  Each is
+    ``0.5*(lo + hi)`` of the very bracket that step would bisect, so it is
+    bisection's own midpoint bit for bit.
+    """
+    ends = np.stack([lo, hi], axis=1)
+    levels = []
+    for _ in range(depth):
+        mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
+        levels.append(mid)
+        finer = np.empty((ends.shape[0], 2 * ends.shape[1] - 1))
+        finer[:, ::2] = ends
+        finer[:, 1::2] = mid
+        ends = finer
+    return np.concatenate(levels, axis=1)
+
+
 def _bisect(evaluate, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
     """Bisect every bracket down to ROOT_TOL at once.
 
     ``evaluate(kappa, sel)`` gives the function of brackets ``sel`` at
-    ``kappa``.  Returns (root, lo, hi, iterations) per bracket; a midpoint
-    where the function is exactly zero is the root, with a bracket of width
-    ROOT_TOL around it.
+    ``kappa`` (``sel`` may repeat a bracket).  Returns (root, lo, hi,
+    iterations) per bracket; a midpoint where the function is exactly zero
+    is the root, with a bracket of width ROOT_TOL around it.
+
+    A pass evaluates, in one call, every midpoint that the next
+    ``_pass_depth(n_live)`` steps of each live bracket could visit (see
+    :func:`_subtree_midpoints`), then takes those steps one at a time from
+    the stored values.  Each step is the plain bisection step: the same
+    midpoint, the same sign test, the same exact-zero rule and the same
+    width test after it.  So the results and the iteration counts, which
+    count steps, not passes, do not depend on the depth.
     """
     lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
     root = np.empty_like(lo)
@@ -122,23 +165,27 @@ def _bisect(evaluate, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
     hit = np.zeros(lo.size, dtype=bool)
     active = np.nonzero(hi - lo > ROOT_TOL)[0]
     while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        f_mid = evaluate(mid, active)
-        iterations[active] += 1
-        exact = f_mid == 0.0
-        with np.errstate(all="ignore"):
-            left = ~exact & (f_lo[active] * f_mid < 0.0)
-        right = ~exact & ~left
-        hi[active[left]] = mid[left]
-        lo[active[right]] = mid[right]
-        f_lo[active[right]] = f_mid[right]
-        done = active[exact]
-        hit[done] = True
-        root[done] = mid[exact]
-        lo[done] = mid[exact] - 0.5 * ROOT_TOL
-        hi[done] = mid[exact] + 0.5 * ROOT_TOL
-        active = active[~exact]
-        active = active[hi[active] - lo[active] > ROOT_TOL]
+        depth = _pass_depth(active.size)
+        mids = _subtree_midpoints(lo[active], hi[active], depth)
+        values = evaluate(mids.ravel(), np.repeat(active, mids.shape[1])).reshape(mids.shape)
+        rows, node = np.arange(active.size), np.zeros(active.size, dtype=int)
+        for _ in range(depth):
+            mid, f_mid = mids[rows, node], values[rows, node]
+            iterations[active] += 1
+            exact = f_mid == 0.0
+            with np.errstate(all="ignore"):
+                left = ~exact & (f_lo[active] * f_mid < 0.0)
+            right = ~exact & ~left
+            hi[active[left]] = mid[left]
+            lo[active[right]] = mid[right]
+            f_lo[active[right]] = f_mid[right]
+            done = active[exact]
+            hit[done] = True
+            root[done] = mid[exact]
+            lo[done] = mid[exact] - 0.5 * ROOT_TOL
+            hi[done] = mid[exact] + 0.5 * ROOT_TOL
+            keep = ~exact & (hi[active] - lo[active] > ROOT_TOL)
+            active, rows, node = active[keep], rows[keep], 2 * node[keep] + 1 + right[keep]
     root[~hit] = 0.5 * (lo[~hit] + hi[~hit])
     return root, lo, hi, iterations
 

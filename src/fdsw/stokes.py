@@ -112,7 +112,8 @@ def check_resonance_admissible(kappa: float, bond: float, n_max: int) -> list[in
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max!r}")
     s = eval_dispersion(kappa, bond)
-    tol = POLE_TOL * (1.0 + s.c2)
+    # c(kappa) - c(n*kappa) has the scale of c, not of c**2
+    tol = POLE_TOL * (1.0 + s.c)
     hits = []
     for n in range(2, n_max + 1):
         cn = eval_dispersion(n * kappa, bond).c

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import fdsw.analysis
 from fdsw.analysis import (
+    PASS_POINTS,
     ROOT_TOL,
     InconclusiveBondError,
     MechanismCurve,
@@ -99,6 +101,129 @@ def test_roots_are_sorted_and_bisected_tightly():
         assert abs(factor_i4(Model.FDSW2, r + 1e-9, 0.2)) < 1e-6 or abs(
             factor_i4(Model.FDSW2, r - 1e-9, 0.2)
         ) < 1e-6
+
+
+def _reference_bisect(evaluate, lo, hi, f_lo):
+    """Reference: the masked vector bisection with one factor pass per step."""
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    root = np.empty_like(lo)
+    iterations = np.zeros(lo.size, dtype=int)
+    hit = np.zeros(lo.size, dtype=bool)
+    active = np.nonzero(hi - lo > ROOT_TOL)[0]
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        f_mid = evaluate(mid, active)
+        iterations[active] += 1
+        exact = f_mid == 0.0
+        with np.errstate(all="ignore"):
+            left = ~exact & (f_lo[active] * f_mid < 0.0)
+        right = ~exact & ~left
+        hi[active[left]] = mid[left]
+        lo[active[right]] = mid[right]
+        f_lo[active[right]] = f_mid[right]
+        done = active[exact]
+        hit[done] = True
+        root[done] = mid[exact]
+        lo[done] = mid[exact] - 0.5 * ROOT_TOL
+        hi[done] = mid[exact] + 0.5 * ROOT_TOL
+        active = active[~exact]
+        active = active[hi[active] - lo[active] > ROOT_TOL]
+    root[~hit] = 0.5 * (lo[~hit] + hi[~hit])
+    return root, lo, hi, iterations
+
+
+def _assert_bisect_matches_reference(evaluate, lo, hi, f_lo):
+    got = fdsw.analysis._bisect(evaluate, lo, hi, f_lo)
+    want = _reference_bisect(evaluate, lo, hi, f_lo)
+    for name, g, w in zip(("root", "lo", "hi", "iterations"), got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+def _captured_bisect_calls(monkeypatch, run):
+    """The arguments of every _bisect call that ``run()`` makes."""
+    calls = []
+    real = fdsw.analysis._bisect
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fdsw.analysis, "_bisect", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("bond", [0.0, 0.1, 2.0])
+def test_bisect_matches_one_step_reference_on_intervals(monkeypatch, model, bond):
+    calls = _captured_bisect_calls(
+        monkeypatch, lambda: classify_intervals(model, bond, 0.05, 30.0)
+    )
+    assert len(calls) == 1 and calls[0][1].size > 0
+    _assert_bisect_matches_reference(*calls[0])
+
+
+def test_bisect_matches_one_step_reference_on_diagram_curves(monkeypatch):
+    calls = _captured_bisect_calls(
+        monkeypatch, lambda: stability_diagram(Model.FDSW2, resolution=2, curve_samples=200)
+    )
+    (evaluate, lo, hi, f_lo), = calls
+    # hundreds of brackets: the first passes are plain one-step bisection
+    assert fdsw.analysis._pass_depth(lo.size) == 1
+    _assert_bisect_matches_reference(evaluate, lo, hi, f_lo)
+
+
+def test_bisect_exact_zero_at_first_and_deeper_midpoints():
+    # on [0.5, 1] the midpoints are dyadic: 0.75 is the first, 0.625 the
+    # second and 0.53125 the fourth, all inside one pass
+    for zeros in ([0.75], [0.625], [0.53125], [0.75, 0.625, 0.53125]):
+        zeros = np.array(zeros)
+        lo, hi = np.full(zeros.size, 0.5), np.ones(zeros.size)
+
+        def evaluate(kappa, sel):
+            return kappa - zeros[sel]
+
+        assert fdsw.analysis._pass_depth(zeros.size) >= 4
+        _assert_bisect_matches_reference(evaluate, lo, hi, lo - zeros)
+        root, lo_out, hi_out, iterations = fdsw.analysis._bisect(evaluate, lo, hi, lo - zeros)
+        assert root.tolist() == zeros.tolist()
+        assert iterations.tolist() == [{0.75: 1, 0.625: 2, 0.53125: 4}[z] for z in zeros]
+        assert (hi_out - lo_out).tolist() == pytest.approx([ROOT_TOL] * zeros.size)
+
+
+def test_bisect_brackets_of_unequal_width_stop_at_different_steps():
+    # widths 1e-9, 4e-9 and 1: they stop after 4, 6 and 34 steps, the first
+    # two inside the first pass
+    lo = np.array([1.0, 2.0, 3.0])
+    hi = lo + np.array([1e-9, 4e-9, 1.0])
+    zeros = lo + np.array([math.sqrt(2) * 3e-10, math.pi * 1e-9, 1.0 / math.e])
+
+    def evaluate(kappa, sel):
+        return np.sin(kappa - zeros[sel])
+
+    f_lo = evaluate(lo, np.arange(3))
+    _assert_bisect_matches_reference(evaluate, lo, hi, f_lo)
+    _, _, _, iterations = fdsw.analysis._bisect(evaluate, lo, hi, f_lo)
+    assert iterations.tolist() == [4, 6, 34]
+    assert fdsw.analysis._pass_depth(3) > 6
+
+
+def test_critical_wavenumber_bisects_several_steps_per_factor_pass(monkeypatch):
+    passes = []
+    real = fdsw.analysis.factor_arrays
+
+    def counting(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fdsw.analysis, "factor_arrays", counting)
+    result = critical_wavenumber(Model.FDSW2, 0.0)
+    # one scan, then 26 bisection steps in at most 4 passes (27 passes with
+    # one step per pass)
+    assert result.iterations == 26
+    assert len(passes) <= 5
+    assert max(np.size(kappa) for _, kappa, _ in passes[1:]) <= PASS_POINTS
 
 
 KNOWN_CRITICAL = {

@@ -121,6 +121,12 @@ def test_admissibility_detects_wilton_point():
     assert check_resonance_admissible(wilton, 0.2, 5) == [2]
 
 
+def test_admissibility_guard_scales_with_c():
+    # at T = 1e21, c(1) and c(2) differ by about 1.6e10: far from resonance
+    assert check_resonance_admissible(1.0, 1e21, 4) == []
+    assert check_resonance_admissible(1.0, 1e18, 4) == []
+
+
 def test_admissibility_rejects_bad_n_max():
     with pytest.raises(ValueError):
         check_resonance_admissible(1.0, 0.0, 1)
