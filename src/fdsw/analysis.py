@@ -36,6 +36,14 @@ ROOT_TOL = 1e-10
 # several bisection steps per pass (see _bisect).
 PASS_POINTS = 512
 
+# Default Bond sequence of the large-surface-tension protocol.
+LIMIT_BONDS = (1.0, 10.0, 100.0, 1000.0)
+
+# Largest diagram resolution accepted.  Peak memory grows by about 190 bytes
+# per grid node, resolution**2 nodes: about 0.8 GB at the cap (see
+# docs/numerics.md).
+MAX_RESOLUTION = 2000
+
 MECHANISM_FACTORS = ("i1", "i2", "i3", "i4")
 MECHANISM_NAMES = {"i1": "R1", "i2": "R2", "i3": "R3", "i4": "R4"}
 
@@ -276,7 +284,7 @@ class LimitEstimate:
 
 def large_T_limit(
     model: Model,
-    bond_sequence: Sequence[float] = (1.0, 10.0, 100.0, 1000.0),
+    bond_sequence: Sequence[float] = LIMIT_BONDS,
     conv_tol: float = 1e-3,
     div_increment: float = 0.1,
 ) -> LimitEstimate:
@@ -290,10 +298,15 @@ def large_T_limit(
       increasing and the last increment exceeds ``div_increment``, or the
       threshold escaped the search range altogether.
     - Converged: the last two values differ by less than ``conv_tol``.
+
+    Both tolerances must be finite and positive.
     """
     bonds = tuple(bond_sequence)
     if len(bonds) < 2 or any(b2 <= b1 for b1, b2 in zip(bonds, bonds[1:])):
         raise ValueError("bond_sequence must be increasing with at least two entries")
+    for name, tol in (("conv_tol", conv_tol), ("div_increment", div_increment)):
+        if not (tol > 0.0 and math.isfinite(tol)):
+            raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
     kappas: list[float | None] = []
     scaled: list[float | None] = []
     for T in bonds:
@@ -399,6 +412,8 @@ def stability_diagram(
     model = Model(model)
     if resolution < 2 or curve_samples < 2:
         raise ValueError("resolution and curve_samples must be >= 2")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution!r}")
     k_lo, k_hi = k_range
     y_lo, y_hi = ksqrtT_range
     finite = all(math.isfinite(v) for v in (*k_range, *ksqrtT_range))

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import CLASSIFY_TOL
+from .config import CLASSIFY_TOL, SIDEBAND_LADDER
 from .dispersion import eval_dispersion
 from .stokes import harmonic_coeffs
 
@@ -201,21 +201,14 @@ def classify_from_quartic(bm: BlochMatrices, tol: float = CLASSIFY_TOL) -> Stabi
     return Stability.STABLE
 
 
-def classify_band(
-    xi_max: float,
-    amplitude: float,
-    kappa: float,
-    bond: float,
-    tol: float = CLASSIFY_TOL,
-    n_xi: int = 4,
-) -> Stability:
-    """Unstable iff some sideband xi in {xi_max/2^j} has a nonreal root X.
+def classify_band(xi_max: float, amplitude: float, kappa: float, bond: float) -> Stability:
+    """Unstable iff some sideband xi_max*f, f in SIDEBAND_LADDER, has a nonreal root X.
 
     At finite amplitude the unstable xi-band can sit strictly inside
-    (0, xi_max), so classification sweeps a dyadic ladder of sidebands.
+    (0, xi_max), so classification sweeps a ladder of sidebands.
     """
-    for j in range(n_xi):
-        bm = build_matrices(xi_max / 2**j, amplitude, kappa, bond)
-        if classify_from_quartic(bm, tol) is Stability.UNSTABLE:
+    for fraction in SIDEBAND_LADDER:
+        bm = build_matrices(xi_max * fraction, amplitude, kappa, bond)
+        if classify_from_quartic(bm) is Stability.UNSTABLE:
             return Stability.UNSTABLE
     return Stability.STABLE

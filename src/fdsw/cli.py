@@ -12,9 +12,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .analysis import (
+    LIMIT_BONDS,
+    MAX_RESOLUTION,
     InconclusiveBondError,
     classify_intervals,
     critical_wavenumber,
@@ -32,61 +33,60 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass
-class RunConfig:
-    """Validated arguments of one CLI invocation."""
-
-    command: str
-    model: Model | None = None
-    bond: float | None = None
-    bonds: tuple[float, ...] | None = None
-    kappa: float | None = None
-    xi: float | None = None
-    amplitude: float | None = None
-    n_modes: int | None = None
-    resolution: int | None = None
-    k_lo: float | None = None
-    k_hi: float | None = None
-    k_max: float | None = None
-    y_max: float | None = None
-    out: str | None = None
-    curves_out: str | None = None
-    format: str = "csv"
-    limit: bool = False
-    conv_tol: float = 1e-2
-
-    def validate(self) -> None:
-        if self.command == "hill" and self.model is not Model.FDSW2:
-            raise ValueError(
-                f"hill: the spectrum is that of the fdsw2 system only, so it cannot check "
-                f"the {self.model.value} index; use --model fdsw2"
-            )
-        if self.kappa is not None and not (self.kappa > 0.0 and math.isfinite(self.kappa)):
-            raise ValueError(f"precondition violated: finite kappa > 0 (got {self.kappa})")
-        if self.bond is not None and not (self.bond >= 0.0 and math.isfinite(self.bond)):
-            raise ValueError(f"precondition violated: finite bond >= 0 (got {self.bond})")
-        if self.bonds is not None and any(not (b >= 0.0 and math.isfinite(b)) for b in self.bonds):
-            raise ValueError(f"precondition violated: finite bond >= 0 (got {self.bonds})")
-        for label, value in (("kmax", self.k_max), ("ymax", self.y_max)):
-            if value is not None and not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"precondition violated: finite {label} > 0 (got {value})")
-        if self.xi is not None and not abs(self.xi) <= 0.5:
-            raise ValueError(f"precondition violated: |xi| <= 1/2 (got {self.xi})")
-        if self.amplitude is not None and not math.isfinite(self.amplitude):
-            raise ValueError(f"precondition violated: finite amplitude (got {self.amplitude})")
-        if self.n_modes is not None and not 8 <= self.n_modes <= MAX_N_MODES:
-            raise ValueError(
-                f"precondition violated: 8 <= n_modes <= {MAX_N_MODES} (got {self.n_modes})"
-            )
-        if self.resolution is not None and self.resolution < 2:
-            raise ValueError(f"precondition violated: resolution >= 2 (got {self.resolution})")
+def _validate(args: argparse.Namespace) -> None:
+    """Check the preconditions of one invocation, in a fixed order."""
+    if args.command == "hill" and args.model != Model.FDSW2:
+        raise ValueError(
+            f"hill: the spectrum is that of the fdsw2 system only, so it cannot check "
+            f"the {args.model} index; use --model fdsw2"
+        )
+    kappa = getattr(args, "kappa", None)
+    if kappa is not None and not (kappa > 0.0 and math.isfinite(kappa)):
+        raise ValueError(f"precondition violated: finite kappa > 0 (got {kappa})")
+    bond = getattr(args, "bond", None)
+    if bond is not None and not (bond >= 0.0 and math.isfinite(bond)):
+        raise ValueError(f"precondition violated: finite bond >= 0 (got {bond})")
+    bonds = getattr(args, "bonds", None)
+    if bonds and any(not (b >= 0.0 and math.isfinite(b)) for b in bonds):
+        # a single fixed-T bond is reported as a number, a sequence as a tuple
+        shown = bonds[0] if len(bonds) == 1 and not args.limit else tuple(bonds)
+        raise ValueError(f"precondition violated: finite bond >= 0 (got {shown})")
+    for label in ("kmax", "ymax"):
+        value = getattr(args, label, None)
+        if value is not None and not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"precondition violated: finite {label} > 0 (got {value})")
+    xi = getattr(args, "xi", None)
+    if xi is not None and not abs(xi) <= 0.5:
+        raise ValueError(f"precondition violated: |xi| <= 1/2 (got {xi})")
+    amplitude = getattr(args, "amplitude", None)
+    if amplitude is not None and not math.isfinite(amplitude):
+        raise ValueError(f"precondition violated: finite amplitude (got {amplitude})")
+    n_modes = getattr(args, "n_modes", None)
+    if n_modes is not None and not 8 <= n_modes <= MAX_N_MODES:
+        raise ValueError(f"precondition violated: 8 <= n_modes <= {MAX_N_MODES} (got {n_modes})")
+    resolution = getattr(args, "resolution", None)
+    if resolution is not None and resolution < 2:
+        raise ValueError(f"precondition violated: resolution >= 2 (got {resolution})")
+    if resolution is not None and resolution > MAX_RESOLUTION:
+        raise ValueError(
+            f"precondition violated: resolution <= {MAX_RESOLUTION} (got {resolution})"
+        )
 
 
-def _cmd_index(cfg: RunConfig) -> int:
-    rep = index(cfg.model, cfg.kappa, cfg.bond)
+def _emit(fmt: str, record: dict | None, lines: list[str]) -> None:
+    """Print the JSON record or the CSV lines, as --format asks.
+
+    Every handler returns its record and its lines; a command without a
+    record (diagram) prints its lines in either format.
+    """
+    print(json.dumps(record) if fmt == "json" and record is not None else "\n".join(lines))
+
+
+def _cmd_index(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    rep = index(args.model, args.kappa, args.bond)
     record = {
         "command": "index",
-        "model": cfg.model.value,
+        "model": args.model,
         "kappa": rep.kappa,
         "bond": rep.bond,
         "i1": rep.i1,
@@ -97,92 +97,76 @@ def _cmd_index(cfg: RunConfig) -> int:
         "flags": sorted(f.value for f in rep.flags),
         "classification": rep.classification,
     }
-    if cfg.format == "json":
-        print(json.dumps(record))
-    else:
-        for key in ("model", "kappa", "bond", "i1", "i2", "i3", "i4"):
-            value = record[key]
-            print(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
-        print(f"delta = {'undefined' if rep.delta is None else _fmt(rep.delta)}")
-        print(f"flags = {','.join(record['flags']) if record['flags'] else 'none'}")
-        print(f"classification = {rep.classification}")
-    return 0
+    lines = [f"model = {args.model}"]
+    lines += [f"{key} = {_fmt(record[key])}" for key in ("kappa", "bond", "i1", "i2", "i3", "i4")]
+    lines += [
+        f"delta = {'undefined' if rep.delta is None else _fmt(rep.delta)}",
+        f"flags = {','.join(record['flags']) if record['flags'] else 'none'}",
+        f"classification = {rep.classification}",
+    ]
+    return record, lines
 
 
-def _cmd_critical(cfg: RunConfig) -> int:
-    if cfg.limit:
-        bonds = cfg.bonds if cfg.bonds else (1.0, 10.0, 100.0, 1000.0)
-        est = large_T_limit(cfg.model, bonds, conv_tol=cfg.conv_tol)
+def _fmt_or_divergent(k: float | None) -> str:
+    return _fmt(k) if k is not None else "divergent"
+
+
+def _cmd_critical(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    if args.limit:
+        est = large_T_limit(args.model, args.bonds or LIMIT_BONDS, conv_tol=args.conv_tol)
         record = {
             "command": "critical",
-            "model": cfg.model.value,
+            "model": args.model,
             "bonds": list(est.bonds),
             "kappa_c": list(est.kappa_values),
             "kappa_c_scaled": list(est.scaled_values),
             "verdict": est.verdict.value,
             "limit": est.limit,
         }
-        if cfg.format == "json":
-            print(json.dumps(record))
-        else:
-            print("bond,kappa_c,kappa_c_scaled")
-            for T, k, y in zip(est.bonds, est.kappa_values, est.scaled_values):
-                ks = _fmt(k) if k is not None else "divergent"
-                ys = _fmt(y) if y is not None else "divergent"
-                print(f"{_fmt(T)},{ks},{ys}")
-            tail = "" if est.limit is None else f" {_fmt(est.limit)}"
-            print(f"verdict = {est.verdict.value}{tail}")
-        return 0
-    bonds = cfg.bonds if cfg.bonds else (cfg.bond if cfg.bond is not None else 0.0,)
-    if not isinstance(bonds, tuple):
-        bonds = (bonds,)
-    rows = [critical_wavenumber(cfg.model, b) for b in bonds]
-    if cfg.format == "json":
-        record = {
-            "command": "critical",
-            "model": cfg.model.value,
-            "results": [
-                {"bond": r.bond, "kappa_c": r.kappa_c, "divergent": r.divergent}
-                for r in rows
-            ],
-        }
-        print(json.dumps(record))
-    else:
-        print("bond,kappa_c")
-        for r in rows:
-            print(f"{_fmt(r.bond)},{_fmt(r.kappa_c) if r.kappa_c is not None else 'divergent'}")
-    return 0
+        lines = ["bond,kappa_c,kappa_c_scaled"] + [
+            f"{_fmt(T)},{_fmt_or_divergent(k)},{_fmt_or_divergent(y)}"
+            for T, k, y in zip(est.bonds, est.kappa_values, est.scaled_values)
+        ]
+        tail = "" if est.limit is None else f" {_fmt(est.limit)}"
+        return record, lines + [f"verdict = {est.verdict.value}{tail}"]
+    bonds = tuple(args.bonds) if args.bonds else (0.0,)
+    rows = [critical_wavenumber(args.model, b) for b in bonds]
+    record = {
+        "command": "critical",
+        "model": args.model,
+        "results": [
+            {"bond": r.bond, "kappa_c": r.kappa_c, "divergent": r.divergent} for r in rows
+        ],
+    }
+    lines = ["bond,kappa_c"] + [f"{_fmt(r.bond)},{_fmt_or_divergent(r.kappa_c)}" for r in rows]
+    return record, lines
 
 
-def _cmd_intervals(cfg: RunConfig) -> int:
-    pieces = classify_intervals(cfg.model, cfg.bond, cfg.k_lo, cfg.k_hi)
-    if cfg.format == "json":
-        record = {
-            "command": "intervals",
-            "model": cfg.model.value,
-            "bond": cfg.bond,
-            "intervals": [
-                {"k_lo": lo, "k_hi": hi, "label": lab} for (lo, hi), lab in pieces
-            ],
-        }
-        print(json.dumps(record))
-    else:
-        print("k_lo,k_hi,label")
-        for (lo, hi), lab in pieces:
-            print(f"{_fmt(lo)},{_fmt(hi)},{lab}")
-    return 0
+def _cmd_intervals(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    pieces = classify_intervals(args.model, args.bond, args.k_lo, args.k_hi)
+    record = {
+        "command": "intervals",
+        "model": args.model,
+        "bond": args.bond,
+        "intervals": [{"k_lo": lo, "k_hi": hi, "label": lab} for (lo, hi), lab in pieces],
+    }
+    lines = ["k_lo,k_hi,label"] + [f"{_fmt(lo)},{_fmt(hi)},{lab}" for (lo, hi), lab in pieces]
+    return record, lines
 
 
-def _cmd_diagram(cfg: RunConfig) -> int:
+def _cmd_diagram(args: argparse.Namespace) -> tuple[None, list[str]]:
+    curves_out = args.curves_out or (
+        (args.out[:-4] if args.out.endswith(".csv") else args.out) + "_curves.csv"
+    )
     diagram = stability_diagram(
-        cfg.model,
-        k_range=(0.0, cfg.k_max),
-        ksqrtT_range=(0.0, cfg.y_max),
-        resolution=cfg.resolution,
+        args.model,
+        k_range=(0.0, args.kmax),
+        ksqrtT_range=(0.0, args.ymax),
+        resolution=args.resolution,
     )
     # One kappa row at a time; each kappa and y is formatted once.
     ys = [_fmt(y) for y in diagram.ys.tolist()]
-    with open(cfg.out, "w", newline="\n") as fh:
+    with open(args.out, "w", newline="\n") as fh:
         fh.write("kappa,kappa_sqrtT,bond,label\n")
         for kappa, bonds, labels in zip(diagram.kappas.tolist(), diagram.bonds, diagram.labels):
             head = _fmt(kappa)
@@ -197,16 +181,17 @@ def _cmd_diagram(cfg: RunConfig) -> int:
         curve_lines += [
             f"{curve.mechanism},{_fmt(k)},{_fmt(y)}" for k, y in curve.points
         ]
-    with open(cfg.curves_out, "w", newline="\n") as fh:
+    with open(curves_out, "w", newline="\n") as fh:
         fh.write("\n".join(curve_lines) + "\n")
-    print(f"wrote {diagram.labels.size} grid points to {cfg.out}")
-    print(f"wrote curves to {cfg.curves_out}")
-    return 0
+    return None, [
+        f"wrote {diagram.labels.size} grid points to {args.out}",
+        f"wrote curves to {curves_out}",
+    ]
 
 
-def _cmd_hill(cfg: RunConfig) -> int:
-    growth = growth_rate(cfg.xi, cfg.amplitude, cfg.kappa, cfg.bond, cfg.n_modes)
-    rep = index(cfg.model, cfg.kappa, cfg.bond)
+def _cmd_hill(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    growth = growth_rate(args.xi, args.amplitude, args.kappa, args.bond, args.n_modes)
+    rep = index(args.model, args.kappa, args.bond)
     spectrally_unstable = growth > GROWTH_THRESHOLD
     if rep.classification in ("S", "U"):
         index_unstable = rep.classification == "U"
@@ -215,23 +200,22 @@ def _cmd_hill(cfg: RunConfig) -> int:
         agreement = "UNDECIDED"
     record = {
         "command": "hill",
-        "model": cfg.model.value,
-        "kappa": cfg.kappa,
-        "bond": cfg.bond,
-        "xi": cfg.xi,
-        "amplitude": cfg.amplitude,
-        "n_modes": cfg.n_modes,
+        "model": args.model,
+        "kappa": args.kappa,
+        "bond": args.bond,
+        "xi": args.xi,
+        "amplitude": args.amplitude,
+        "n_modes": args.n_modes,
         "growth_rate": growth,
         "index_classification": rep.classification,
         "agreement": agreement,
     }
-    if cfg.format == "json":
-        print(json.dumps(record))
-    else:
-        print(f"growth_rate = {_fmt(growth)}")
-        print(f"index_classification = {rep.classification}")
-        print(f"agreement = {agreement}")
-    return 0
+    lines = [
+        f"growth_rate = {_fmt(growth)}",
+        f"index_classification = {rep.classification}",
+        f"agreement = {agreement}",
+    ]
+    return record, lines
 
 
 _DISPATCH = {
@@ -299,43 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.model = Model(args.model)
-    cfg.format = args.format
-    if args.command == "index":
-        cfg.kappa, cfg.bond = args.kappa, args.bond
-    elif args.command == "critical":
-        cfg.bonds = tuple(args.bonds) if args.bonds else None
-        cfg.limit = args.limit
-        cfg.conv_tol = args.conv_tol
-        if cfg.bonds and len(cfg.bonds) == 1 and not cfg.limit:
-            cfg.bond = cfg.bonds[0]
-    elif args.command == "diagram":
-        cfg.out = args.out
-        cfg.curves_out = (
-            args.curves_out
-            if args.curves_out
-            else (args.out[:-4] if args.out.endswith(".csv") else args.out) + "_curves.csv"
-        )
-        cfg.resolution = args.resolution
-        cfg.k_max, cfg.y_max = args.kmax, args.ymax
-    elif args.command == "hill":
-        cfg.xi, cfg.amplitude = args.xi, args.amplitude
-        cfg.kappa, cfg.bond = args.kappa, args.bond
-        cfg.n_modes = args.n_modes
-    elif args.command == "intervals":
-        cfg.bond = args.bond
-        cfg.k_lo, cfg.k_hi = args.k_lo, args.k_hi
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        cfg.validate()
-        return _DISPATCH[args.command](cfg)
+        _validate(args)
+        _emit(args.format, *_DISPATCH[args.command](args))
+        return 0
     except (
         ValueError,
         ResonanceError,

@@ -18,6 +18,11 @@ BOND_THIRD_TOL = 1e-9
 DEFAULT_XI = 1e-2
 DEFAULT_AMPLITUDE = 1e-2
 
+# Sidebands probed by the band classifications (the pencil and Hill), as
+# fractions of xi_max: four probes spaced by 4 reach xi_max/64, below the
+# narrow unstable bands of finite-amplitude trains near mechanism boundaries.
+SIDEBAND_LADDER = (1.0, 1.0 / 4.0, 1.0 / 16.0, 1.0 / 64.0)
+
 # Relative imaginary-part tolerance used when classifying quartic roots.
 CLASSIFY_TOL = 1e-6
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SIDEBAND_LADDER
 from .dispersion import eval_dispersion_squared_array
 from .stokes import PolishedWave, WaveRefinementError, WaveTrain, polish_wave, wave_train
 
@@ -161,19 +162,15 @@ def growth_rate(
 
 
 def growth_rate_band(
-    xi_max: float,
-    amplitude: float,
-    kappa: float,
-    bond: float,
-    n_modes: int,
-    n_xi: int = 4,
+    xi_max: float, amplitude: float, kappa: float, bond: float, n_modes: int
 ) -> float:
-    """Largest growth rate over a dyadic sweep of sidebands (xi_max/2^j).
+    """Largest growth rate over the sidebands xi_max*f, f in SIDEBAND_LADDER.
 
     Modulational instability is growth of some long-wavelength sideband; at
     finite amplitude the unstable xi-band can sit strictly below any single
-    probe, so classification sweeps xi = xi_max, xi_max/2, ..., down to
-    xi_max / 2**(n_xi - 1).  The wave is polished once for the whole sweep.
+    probe, so classification sweeps the same ladder as
+    :func:`fdsw.bloch.classify_band`.  The wave is polished once for the
+    whole sweep.
     """
-    xis = [xi_max / 2**j for j in range(n_xi)]
+    xis = [xi_max * fraction for fraction in SIDEBAND_LADDER]
     return _ladder_growth(xis, amplitude, kappa, bond, n_modes)

@@ -5,6 +5,7 @@ import pytest
 
 import fdsw.analysis
 from fdsw.analysis import (
+    MAX_RESOLUTION,
     PASS_POINTS,
     ROOT_TOL,
     InconclusiveBondError,
@@ -292,6 +293,15 @@ def test_large_T_validates_sequence():
         large_T_limit(Model.FDSW2, (10.0,))
 
 
+@pytest.mark.parametrize("name", ["conv_tol", "div_increment"])
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_large_T_rejects_meaningless_tolerances(name, tol):
+    # an infinite conv_tol would call any two-point sequence converged, and a
+    # negative or nan one would switch the verdict off without a word
+    with pytest.raises(ValueError, match=name):
+        large_T_limit(Model.FDCH, (0.01, 0.02), **{name: tol})
+
+
 def test_intervals_fdsw2_low_tension():
     pieces = classify_intervals(Model.FDSW2, 0.2, 0.05, 30.0)
     labels = [label for _, label in pieces]
@@ -398,3 +408,9 @@ def test_diagram_validates_inputs():
         stability_diagram(Model.FDSW2, k_range=(0.0, math.inf))
     with pytest.raises(ValueError):
         stability_diagram(Model.FDSW2, ksqrtT_range=(0.0, math.nan))
+
+
+def test_diagram_resolution_cap():
+    # checked before the grid is allocated
+    with pytest.raises(ValueError, match="resolution"):
+        stability_diagram(Model.FDSW2, resolution=MAX_RESOLUTION + 1)

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from fdsw.analysis import stability_diagram
+from fdsw.analysis import MAX_RESOLUTION, stability_diagram
 from fdsw.cli import main
 from fdsw.factors import Model, index
 from fdsw.hill import MAX_N_MODES
@@ -208,3 +209,109 @@ def test_diagram_io_error_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "i/o error" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("critical", "--model", "fdch", "--limit", "--bond", "0.01", "--bond", "0.02",
+         "--conv-tol", "inf"),
+        ("critical", "--limit", "--conv-tol", "-1"),
+        ("critical", "--limit", "--conv-tol", "nan"),
+        # the cap is enforced by validation, before any grid is allocated
+        ("diagram", "--resolution", str(MAX_RESOLUTION + 1), "--out", "unused.csv"),
+    ],
+)
+def test_meaningless_limits_exit_2(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+# The output contract of every subcommand: exact JSON key order, and the
+# exact CSV lines as patterns (header, line count and layout).
+NUM = r"-?\d(\.\d+)?(e[+-]\d+)?|-?\d+(\.\d+)?"
+CONTRACT = {
+    "index": (
+        ("index", "--kappa", "2", "--bond", "0"),
+        ["command", "model", "kappa", "bond", "i1", "i2", "i3", "i4", "delta", "flags",
+         "classification"],
+        ["model = fdsw2",
+         *(f"{key} = ({NUM})" for key in ("kappa", "bond", "i1", "i2", "i3", "i4")),
+         f"delta = ({NUM})", "flags = none", "classification = U"],
+    ),
+    "critical": (
+        ("critical", "--model", "whitham", "--bond", "0", "--bond", "2"),
+        ["command", "model", "results"],
+        ["bond,kappa_c", f"0,({NUM})", f"2,({NUM}|divergent)"],
+    ),
+    "critical-limit": (
+        ("critical", "--model", "fdsw1", "--limit"),
+        ["command", "model", "bonds", "kappa_c", "kappa_c_scaled", "verdict", "limit"],
+        ["bond,kappa_c,kappa_c_scaled", *(f"{T},({NUM}),({NUM})" for T in (1, 10, 100, 1000)),
+         f"verdict = Converged ({NUM})"],
+    ),
+    "intervals": (
+        ("intervals", "--bond", "0.2"),
+        ["command", "model", "bond", "intervals"],
+        ["k_lo,k_hi,label", *(f"({NUM}),({NUM}),{label}" for label in "SUSUSU")],
+    ),
+    "hill": (
+        ("hill", "--xi", "0.01", "--amplitude", "0.01", "--kappa", "2"),
+        ["command", "model", "kappa", "bond", "xi", "amplitude", "n_modes", "growth_rate",
+         "index_classification", "agreement"],
+        [f"growth_rate = ({NUM})", "index_classification = U", "agreement = AGREES"],
+    ),
+}
+RECORD_ITEM_KEYS = {
+    "critical": ("results", ["bond", "kappa_c", "divergent"]),
+    "intervals": ("intervals", ["k_lo", "k_hi", "label"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_output_contract(capsys, name, fmt):
+    args, keys, patterns = CONTRACT[name]
+    code, out, err = run_cli(capsys, *args, "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        assert out.count("\n") == 1 and out.endswith("\n")
+        record = json.loads(out)
+        assert list(record) == keys
+        assert record["command"] == args[0]
+        if name in RECORD_ITEM_KEYS:
+            field, item_keys = RECORD_ITEM_KEYS[name]
+            assert record[field] and all(list(item) == item_keys for item in record[field])
+    else:
+        lines = out.split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == len(patterns)
+        for line, pattern in zip(lines, patterns):
+            assert re.fullmatch(pattern, line), (line, pattern)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_diagram_output_contract(tmp_path, capsys, fmt):
+    grid, curves = tmp_path / "g.csv", tmp_path / "c.csv"
+    code, out, err = run_cli(
+        capsys, "diagram", "--out", str(grid), "--curves-out", str(curves),
+        "--resolution", "12", "--format", fmt,
+    )
+    assert code == 0 and err == ""
+    # the diagram command prints the same two lines in either format
+    assert out == f"wrote 144 grid points to {grid}\nwrote curves to {curves}\n"
+    grid_lines = grid.read_text().split("\n")
+    assert grid_lines.pop() == ""
+    assert grid_lines[0] == "kappa,kappa_sqrtT,bond,label"
+    assert len(grid_lines) == 1 + 12 * 12
+    label = "S|U|NearPole|Inconclusive|OutsideValidity"
+    for line in grid_lines[1:]:
+        assert re.fullmatch(f"({NUM}),({NUM}),({NUM}),({label})", line), line
+    curve_lines = curves.read_text().split("\n")
+    assert curve_lines.pop() == ""
+    assert curve_lines[0] == "mechanism,kappa,kappa_sqrtT"
+    assert len(curve_lines) > 1
+    for line in curve_lines[1:]:
+        assert re.fullmatch(f"R[1-4],({NUM}),({NUM})", line), line

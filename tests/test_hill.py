@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import fdsw.hill
+from fdsw.bloch import Stability, classify_band
+from fdsw.config import GROWTH_THRESHOLD, SIDEBAND_LADDER
+from fdsw.factors import Model, index
 from fdsw.dispersion import eval_dispersion
 from fdsw.hill import MAX_N_MODES, WaveRefinementError, assemble, growth_rate, growth_rate_band
 from fdsw.stokes import POLISH_TOL, wave_train
@@ -144,7 +147,7 @@ def test_real_form_has_the_complex_spectrum(xi, a, kappa, bond):
 
 @pytest.mark.parametrize("kappa, bond", [(2.0, 0.0), (2.0, 5.0), (0.8, 0.2)])
 def test_band_is_the_max_over_its_ladder(kappa, bond):
-    ladder = [growth_rate(0.01 / 2**j, 0.01, kappa, bond, 32) for j in range(4)]
+    ladder = [growth_rate(0.01 * f, 0.01, kappa, bond, 32) for f in SIDEBAND_LADDER]
     assert growth_rate_band(0.01, 0.01, kappa, bond, 32) == max(ladder)
 
 
@@ -157,8 +160,22 @@ def test_band_polishes_the_wave_once(monkeypatch):
         return polish(wave)
 
     monkeypatch.setattr(fdsw.hill, "polish_wave", counted)
-    growth_rate_band(0.01, 0.01, 2.0, 5.0, 32, n_xi=4)
+    growth_rate_band(0.01, 0.01, 2.0, 5.0, 32)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "kappa, bond",
+    [
+        # unstable bands below xi_max/8: only the rungs xi_max/16, xi_max/64 reach them
+        (1.3634691743104606, 3.275174318693672),  # bench oracle, seed 2
+        (2.0780499913728336, 1.4079533597958662),  # bench oracle, seed 3
+    ],
+)
+def test_ladder_reaches_narrow_bands(kappa, bond):
+    assert index(Model.FDSW2, kappa, bond).classification == "U"
+    assert classify_band(0.01, 0.01, kappa, bond) is Stability.UNSTABLE
+    assert growth_rate_band(0.01, 0.01, kappa, bond, 32) > GROWTH_THRESHOLD
 
 
 def test_polish_diagnostics():
