@@ -31,6 +31,12 @@ from .factors import Model, factor_arrays, index, index_labels
 # Bond line T = 1/3.
 SCAN_POINTS = 2000
 ROOT_TOL = 1e-10
+
+# Largest end of a kappa range.  Below it the second-harmonic samples 2*kappa
+# and the geometric midpoints sqrt(k_lo*k_hi) of classify_intervals are
+# finite; inf and such ranges are rejected before any array work.
+MAX_KAPPA = 1e150
+
 # Points per factor pass of the bisection.  A factor pass on one point costs
 # nearly as much as one on a few hundred, so a few live brackets take
 # several bisection steps per pass (see _bisect).
@@ -70,8 +76,8 @@ class _Roots:
 
 
 def _scan_grid(k_lo: float, k_hi: float, points: int) -> np.ndarray:
-    if not 0.0 < k_lo < k_hi:
-        raise ValueError(f"need 0 < k_lo < k_hi, got ({k_lo!r}, {k_hi!r})")
+    if not 0.0 < k_lo < k_hi <= MAX_KAPPA:
+        raise ValueError(f"need 0 < k_lo < k_hi <= {MAX_KAPPA:g}, got ({k_lo!r}, {k_hi!r})")
     return np.geomspace(k_lo, k_hi, points)
 
 
@@ -151,8 +157,18 @@ def _subtree_midpoints(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray
     return np.concatenate(levels, axis=1)
 
 
+def _splittable(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Brackets wider than ROOT_TOL whose midpoint lies strictly inside.
+
+    Above kappa ~ 1e6 the float spacing exceeds ROOT_TOL, and a bracket of
+    adjacent floats has its midpoint at an end: bisection stops there.
+    """
+    mid = 0.5 * (lo + hi)
+    return (hi - lo > ROOT_TOL) & (lo < mid) & (mid < hi)
+
+
 def _bisect(evaluate, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
-    """Bisect every bracket down to ROOT_TOL at once.
+    """Bisect every bracket down to ROOT_TOL, or to adjacent floats, at once.
 
     ``evaluate(kappa, sel)`` gives the function of brackets ``sel`` at
     ``kappa`` (``sel`` may repeat a bracket).  Returns (root, lo, hi,
@@ -171,7 +187,7 @@ def _bisect(evaluate, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
     root = np.empty_like(lo)
     iterations = np.zeros(lo.size, dtype=int)
     hit = np.zeros(lo.size, dtype=bool)
-    active = np.nonzero(hi - lo > ROOT_TOL)[0]
+    active = np.nonzero(_splittable(lo, hi))[0]
     while active.size:
         depth = _pass_depth(active.size)
         mids = _subtree_midpoints(lo[active], hi[active], depth)
@@ -192,7 +208,7 @@ def _bisect(evaluate, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
             root[done] = mid[exact]
             lo[done] = mid[exact] - 0.5 * ROOT_TOL
             hi[done] = mid[exact] + 0.5 * ROOT_TOL
-            keep = ~exact & (hi[active] - lo[active] > ROOT_TOL)
+            keep = ~exact & _splittable(lo[active], hi[active])
             active, rows, node = active[keep], rows[keep], 2 * node[keep] + 1 + right[keep]
     root[~hit] = 0.5 * (lo[~hit] + hi[~hit])
     return root, lo, hi, iterations

@@ -15,6 +15,7 @@ import sys
 
 from .analysis import (
     LIMIT_BONDS,
+    MAX_KAPPA,
     MAX_RESOLUTION,
     InconclusiveBondError,
     classify_intervals,
@@ -55,6 +56,11 @@ def _validate(args: argparse.Namespace) -> None:
         value = getattr(args, label, None)
         if value is not None and not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"precondition violated: finite {label} > 0 (got {value})")
+    k_lo, k_hi = getattr(args, "k_lo", None), getattr(args, "k_hi", None)
+    if k_lo is not None and not 0.0 < k_lo < k_hi <= MAX_KAPPA:
+        raise ValueError(
+            f"precondition violated: 0 < k_lo < k_hi <= {MAX_KAPPA:g} (got {k_lo}, {k_hi})"
+        )
     xi = getattr(args, "xi", None)
     if xi is not None and not abs(xi) <= 0.5:
         raise ValueError(f"precondition violated: |xi| <= 1/2 (got {xi})")

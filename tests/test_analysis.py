@@ -313,6 +313,36 @@ def test_intervals_fdsw2_low_tension():
         assert first[0][1] == second[0][0]
 
 
+@pytest.mark.parametrize(
+    "k_lo, k_hi", [(0.05, math.inf), (0.05, 1e308), (math.nan, 30.0), (0.05, math.nan)]
+)
+def test_intervals_reject_meaningless_ranges(k_lo, k_hi):
+    with pytest.raises(ValueError, match="k_lo < k_hi"):
+        classify_intervals(Model.FDSW2, 0.2, k_lo, k_hi)
+
+
+def test_bisection_stops_at_adjacent_floats(monkeypatch):
+    # at T = 1e-14 the i1 and i3 roots lie near 4e6 and 7e6, where the float
+    # spacing exceeds ROOT_TOL, so no bracket there gets narrower than ROOT_TOL
+    passes = []
+    factor_arrays = fdsw.analysis.factor_arrays
+
+    def bounded(*args):
+        passes.append(None)
+        if len(passes) > 100:
+            raise RuntimeError("the bisection does not stop")
+        return factor_arrays(*args)
+
+    monkeypatch.setattr(fdsw.analysis, "factor_arrays", bounded)
+    (root,) = find_factor_roots(Model.FDSW2, "i1", 1e-14, 1e6, 1e7)
+    assert root == pytest.approx(3933198.931903285, rel=1e-12)
+    pieces = classify_intervals(Model.FDSW2, 1e-14, 0.05, 1e8)
+    far = [hi for (_, hi), _ in pieces[:-1] if hi > 1e6]
+    # the second-harmonic resonance c(k) = c(2k) at 2*T*kappa**2 = 1
+    wilton = 1.0 / math.sqrt(2e-14)
+    assert far == [pytest.approx(root, rel=1e-12), pytest.approx(wilton, rel=1e-12)]
+
+
 def test_intervals_fdsw2_no_tension_and_high_tension():
     labels = [label for _, label in classify_intervals(Model.FDSW2, 0.0, 0.05, 20.0)]
     assert labels == ["S", "U"]

@@ -220,6 +220,11 @@ def test_diagram_io_error_exit_code(tmp_path, capsys):
         ("critical", "--limit", "--conv-tol", "nan"),
         # the cap is enforced by validation, before any grid is allocated
         ("diagram", "--resolution", str(MAX_RESOLUTION + 1), "--out", "unused.csv"),
+        # rejected before any array work: no numpy warning precedes the error
+        ("intervals", "--bond", "0.2", "--k-hi", "inf"),
+        ("intervals", "--bond", "0.2", "--k-hi", "1e308"),
+        # its factor scan would end beyond MAX_KAPPA
+        ("diagram", "--kmax", "1e200", "--resolution", "8", "--out", "unused.csv"),
     ],
 )
 def test_meaningless_limits_exit_2(capsys, args):
