@@ -45,10 +45,16 @@ PASS_POINTS = 512
 # Default Bond sequence of the large-surface-tension protocol.
 LIMIT_BONDS = (1.0, 10.0, 100.0, 1000.0)
 
-# Largest diagram resolution accepted.  Peak memory grows by about 190 bytes
-# per grid node, resolution**2 nodes: about 0.8 GB at the cap (see
-# docs/numerics.md).
+# Largest diagram resolution accepted.  Peak memory grows by about 16 bytes
+# per grid node (its Bond number and label), resolution**2 nodes: about
+# 105 MB measured at the cap (see docs/numerics.md).
 MAX_RESOLUTION = 2000
+
+# Diagram grid nodes classified per block, in whole kappa rows (at least
+# one).  The temporaries of a block stay near the cache; only the Bond
+# numbers and the labels span the whole grid.  Every node's arithmetic is
+# the same whatever the block, so the grid does not depend on it.
+GRID_BLOCK_NODES = 2**15
 
 MECHANISM_FACTORS = ("i1", "i2", "i3", "i4")
 MECHANISM_NAMES = {"i1": "R1", "i2": "R2", "i3": "R3", "i4": "R4"}
@@ -432,25 +438,41 @@ def stability_diagram(
         raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution!r}")
     k_lo, k_hi = k_range
     y_lo, y_hi = ksqrtT_range
+    window = f"window {k_range!r} x {ksqrtT_range!r}"
     finite = all(math.isfinite(v) for v in (*k_range, *ksqrtT_range))
     if not (finite and k_hi > k_lo >= 0.0 and y_hi > y_lo >= 0.0):
-        raise ValueError(f"bad window {k_range!r} x {ksqrtT_range!r}")
+        raise ValueError(f"bad {window}")
     kappas = k_lo + np.arange(1, resolution + 1) * (k_hi - k_lo) / resolution
     ys = y_lo + np.arange(resolution) * (y_hi - y_lo) / (resolution - 1)
     scan_lo = max(k_lo, 1e-3)
+    if not kappas[0] > 0.0:
+        raise ValueError(f"{window} is too narrow: its first kappa node underflows to 0")
+    if not scan_lo < k_hi <= MAX_KAPPA:
+        raise ValueError(
+            f"{window}: its curves are scanned on [{scan_lo!r}, kmax], "
+            f"which needs {scan_lo!r} < kmax <= {MAX_KAPPA:g}"
+        )
     try:
+        t_max = (y_hi / scan_lo) ** 2
+        if not t_max > 0.0:
+            raise ValueError(
+                f"{window} is too narrow: the curves' largest Bond number "
+                f"(ymax/{scan_lo!r})**2 underflows to 0"
+            )
         # T = (y/kappa)**2 as Python's float ** computes it (libm pow): numpy's
         # square differs from it in the last ulp at some nodes, and the grid
         # CSV prints T to 17 digits.
-        ratios = (ys[None, :] / kappas[:, None]).ravel().tolist()
-        bonds = np.array(list(map(math.pow, ratios, itertools.repeat(2.0))))
-        bonds = bonds.reshape(resolution, resolution)
-        t_max = (y_hi / scan_lo) ** 2
+        bonds = np.empty((resolution, resolution))
+        labels = np.empty((resolution, resolution), dtype=object)
+        step = max(1, GRID_BLOCK_NODES // resolution)
+        for start in range(0, resolution, step):
+            rows = slice(start, start + step)
+            ratios = (ys[None, :] / kappas[rows, None]).ravel().tolist()
+            squares = map(math.pow, ratios, itertools.repeat(2.0))
+            bonds[rows] = np.fromiter(squares, float, len(ratios)).reshape(-1, resolution)
+            labels[rows] = index_labels(model, kappas[rows, None], bonds[rows])
     except OverflowError:
-        raise ValueError(
-            f"window {k_range!r} x {ksqrtT_range!r} has Bond numbers beyond float range"
-        ) from None
-    labels = index_labels(model, kappas[:, None], bonds)
+        raise ValueError(f"{window} has Bond numbers beyond float range") from None
 
     # Fixed T is a ray of slope sqrt(T) through the origin; each mechanism
     # curve is swept by bisecting its factor along rays of increasing slope.

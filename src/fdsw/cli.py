@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .analysis import (
@@ -70,6 +71,10 @@ def _validate(args: argparse.Namespace) -> None:
     n_modes = getattr(args, "n_modes", None)
     if n_modes is not None and not 8 <= n_modes <= MAX_N_MODES:
         raise ValueError(f"precondition violated: 8 <= n_modes <= {MAX_N_MODES} (got {n_modes})")
+    if args.command == "diagram":
+        curves_out = _curves_path(args)
+        if os.path.realpath(curves_out) == os.path.realpath(args.out):
+            raise ValueError(f"the curves file {curves_out} is the grid file {args.out}")
     resolution = getattr(args, "resolution", None)
     if resolution is not None and resolution < 2:
         raise ValueError(f"precondition violated: resolution >= 2 (got {resolution})")
@@ -160,28 +165,31 @@ def _cmd_intervals(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return record, lines
 
 
-def _cmd_diagram(args: argparse.Namespace) -> tuple[None, list[str]]:
-    curves_out = args.curves_out or (
+def _curves_path(args: argparse.Namespace) -> str:
+    return args.curves_out or (
         (args.out[:-4] if args.out.endswith(".csv") else args.out) + "_curves.csv"
     )
+
+
+def _cmd_diagram(args: argparse.Namespace) -> tuple[None, list[str]]:
+    curves_out = _curves_path(args)
     diagram = stability_diagram(
         args.model,
         k_range=(0.0, args.kmax),
         ksqrtT_range=(0.0, args.ymax),
         resolution=args.resolution,
     )
-    # One kappa row at a time; each kappa and y is formatted once.
-    ys = [_fmt(y) for y in diagram.ys.tolist()]
+    # One kappa row per write, formatted by one C-level % on a row template:
+    # each y is formatted once, into the template, and "%.17g" prints the
+    # Bond numbers exactly as _fmt does (both call PyOS_double_to_string).
+    pieces = [""] + [f",{_fmt(y)},%.17g,%s\n" for y in diagram.ys.tolist()]
+    fields = [None] * (2 * diagram.ys.size)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("kappa,kappa_sqrtT,bond,label\n")
         for kappa, bonds, labels in zip(diagram.kappas.tolist(), diagram.bonds, diagram.labels):
-            head = _fmt(kappa)
-            fh.write(
-                "".join(
-                    f"{head},{y},{_fmt(bond)},{label}\n"
-                    for y, bond, label in zip(ys, bonds.tolist(), labels.tolist())
-                )
-            )
+            fields[::2] = bonds.tolist()
+            fields[1::2] = labels.tolist()
+            fh.write(_fmt(kappa).join(pieces) % tuple(fields))
     curve_lines = ["mechanism,kappa,kappa_sqrtT"]
     for curve in diagram.curves:
         curve_lines += [

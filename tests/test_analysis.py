@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import fdsw.analysis
 from fdsw.analysis import (
+    GRID_BLOCK_NODES,
     MAX_RESOLUTION,
     PASS_POINTS,
     ROOT_TOL,
@@ -383,6 +385,40 @@ def test_diagram_grid_matches_scalar_index(model):
     for p in diagram.grid:
         assert p.bond == (p.kappa_sqrtT / p.kappa) ** 2
         assert p.label == index(model, p.kappa, p.bond).classification
+
+
+def _one_pass_grid(model, kappas, ys):
+    """The diagram grid in one pass over all nodes: the reference of the blocked grid."""
+    ratios = (ys[None, :] / kappas[:, None]).ravel().tolist()
+    bonds = np.array(list(map(math.pow, ratios, itertools.repeat(2.0))))
+    bonds = bonds.reshape(kappas.size, ys.size)
+    return bonds, index_labels(model, kappas[:, None], bonds)
+
+
+@pytest.mark.parametrize("block_nodes", [GRID_BLOCK_NODES, 1])
+@pytest.mark.parametrize("model", list(Model))
+def test_blocked_grid_matches_one_pass_reference(monkeypatch, model, block_nodes):
+    # 200 rows: blocks of 163 rows and a short last block of 37 by default,
+    # 200 blocks of one row with the constant patched to 1.  The window
+    # crosses T = 1/3, and its corner node sits on the second-harmonic
+    # resonance at T = 0.2 (NearPole).
+    monkeypatch.setattr(fdsw.analysis, "GRID_BLOCK_NODES", block_nodes)
+    resolution = 200
+    assert resolution % (GRID_BLOCK_NODES // resolution) > 0  # a short last block
+    wilton = find_factor_roots(Model.FDSW2, "i3", 0.2, 1.0, 1.5)[0]
+    diagram = stability_diagram(
+        model,
+        k_range=(0.0, wilton),
+        ksqrtT_range=(0.0, wilton * math.sqrt(0.2)),
+        resolution=resolution,
+        curve_samples=2,
+    )
+    bonds, labels = _one_pass_grid(model, diagram.kappas, diagram.ys)
+    assert diagram.bonds.tobytes() == bonds.tobytes()
+    assert diagram.labels.tolist() == labels.tolist()
+    assert bonds.min() < 1.0 / 3.0 < bonds.max()
+    assert {"S", "NearPole"} <= set(labels.ravel())
+    assert labels[-1, -1] == "NearPole"
 
 
 @pytest.mark.parametrize("model", list(Model))

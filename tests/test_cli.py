@@ -1,10 +1,14 @@
+import hashlib
 import json
+import math
 import re
+import warnings
+from pathlib import Path
 
 import pytest
 
-from fdsw.analysis import MAX_RESOLUTION, stability_diagram
-from fdsw.cli import main
+from fdsw.analysis import MAX_RESOLUTION, find_factor_roots, stability_diagram
+from fdsw.cli import _fmt, main
 from fdsw.factors import Model, index
 from fdsw.hill import MAX_N_MODES
 
@@ -152,17 +156,90 @@ def test_diagram_files(tmp_path, capsys):
 
 
 def test_diagram_csv_matches_grid_points(tmp_path, capsys):
-    # the streamed CSV equals one line per GridPoint, formatted as _fmt does
+    # the CSV equals one line per GridPoint with every field formatted by
+    # _fmt, on windows whose numbers print with e+ and e- exponents, with a
+    # Bond number of 0 and with every label
+    wilton = find_factor_roots(Model.FDSW2, "i3", 0.2, 1.0, 1.5)[0]
+    windows = [
+        (Model.WHITHAM, 3.0, 3.0, 30),
+        (Model.FDSW2, 2e-3, 1e-6, 5),  # e- exponents
+        (Model.FDSW2, 1e20, 1e20, 4),  # e+ exponents, NearPole far out
+        (Model.FDSW1, 3.0, 1e140, 4),  # e+ Bond numbers, OutsideValidity
+        (Model.FDSW2, 1.5, 1.5 / math.sqrt(3.0), 2),  # Inconclusive on T = 1/3
+        (Model.FDCH, wilton, wilton * math.sqrt(0.2), 4),  # NearPole at T = 0.2
+    ]
     out_path = tmp_path / "d.csv"
+    text, labels = "", set()
+    for model, kmax, ymax, resolution in windows:
+        code, _, err = run_cli(
+            capsys, "diagram", "--model", model.value, "--out", str(out_path),
+            "--kmax", repr(kmax), "--ymax", repr(ymax), "--resolution", str(resolution),
+        )
+        assert code == 0 and err == ""
+        diagram = stability_diagram(
+            model, k_range=(0.0, kmax), ksqrtT_range=(0.0, ymax), resolution=resolution
+        )
+        lines = ["kappa,kappa_sqrtT,bond,label"] + [
+            f"{_fmt(p.kappa)},{_fmt(p.kappa_sqrtT)},{_fmt(p.bond)},{p.label}"
+            for p in diagram.grid
+        ]
+        expected = "\n".join(lines) + "\n"
+        assert out_path.read_bytes() == expected.encode()
+        text += expected
+        labels |= {p.label for p in diagram.grid}
+    assert labels == {"S", "U", "NearPole", "Inconclusive", "OutsideValidity"}
+    assert "e+" in text and "e-" in text
+    assert re.search(r",0,[A-Za-z]+\n", text)
+
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+
+@pytest.mark.parametrize("model", ["fdsw2", "whitham"])
+def test_diagram_grid_bytes_match_bench_reference(tmp_path, capsys, model):
+    # the benchmark's byte contract: the grid CSV of its diagram workload
+    reference = json.loads((REFERENCE_DIR / f"diagram-{model}.json").read_text())
+    out_path = tmp_path / "grid.csv"
     code, _, _ = run_cli(
-        capsys, "diagram", "--model", "whitham", "--out", str(out_path), "--resolution", "30",
+        capsys, "diagram", "--model", model, "--out", str(out_path),
+        "--resolution", str(reference["resolution"]), "--kmax", "3.0", "--ymax", "3.0",
     )
     assert code == 0
-    diagram = stability_diagram(Model.WHITHAM, resolution=30)
-    lines = ["kappa,kappa_sqrtT,bond,label"] + [
-        f"{p.kappa:.17g},{p.kappa_sqrtT:.17g},{p.bond:.17g},{p.label}" for p in diagram.grid
-    ]
-    assert out_path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == reference["grid_sha256"]
+
+
+def test_diagram_rejects_curves_path_naming_the_grid_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for curves_out in ("same.csv", "./same.csv", str(tmp_path / "same.csv")):
+        code, out, err = run_cli(
+            capsys, "diagram", "--out", "same.csv", "--curves-out", curves_out,
+            "--resolution", "4",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        # rejected before any grid work: nothing was written
+        assert not (tmp_path / "same.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--kmax", "5e-324", "--resolution", "3"),  # the first kappa node underflows
+        ("--ymax", "5e-324"),  # the curves' largest Bond number underflows
+        ("--kmax", "1e-300", "--ymax", "1e-300"),
+        ("--kmax", "1e-3"),  # the curves' kappa scan starts at 1e-3
+    ],
+)
+def test_degenerate_diagram_windows_exit_2(tmp_path, capsys, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "diagram", *args, "--out", str(tmp_path / "t.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: window ")
+    assert "Warning" not in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize(
