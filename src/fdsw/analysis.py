@@ -47,7 +47,7 @@ LIMIT_BONDS = (1.0, 10.0, 100.0, 1000.0)
 
 # Largest diagram resolution accepted.  Peak memory grows by about 16 bytes
 # per grid node (its Bond number and label), resolution**2 nodes: about
-# 105 MB measured at the cap (see docs/numerics.md).
+# 106 MB measured at the cap (see docs/numerics.md).
 MAX_RESOLUTION = 2000
 
 # Diagram grid nodes classified per block, in whole kappa rows (at least

@@ -25,10 +25,17 @@ from .analysis import (
     stability_diagram,
 )
 from .bloch import DegenerateQuarticError
-from .config import GROWTH_THRESHOLD
+from .config import growth_threshold
 from .factors import Model, index
+from .g17 import format_g17
 from .hill import MAX_N_MODES, WaveRefinementError, growth_rate
 from .stokes import ResonanceError
+
+
+# Grid nodes whose Bond numbers format_g17 formats at a time, in whole
+# kappa rows (at least one): its temporaries, about 30 arrays of 8 bytes a
+# node, stay near the cache and do not grow with the grid.
+FORMAT_BLOCK_NODES = 2**13
 
 
 def _fmt(x: float) -> str:
@@ -179,17 +186,25 @@ def _cmd_diagram(args: argparse.Namespace) -> tuple[None, list[str]]:
         ksqrtT_range=(0.0, args.ymax),
         resolution=args.resolution,
     )
-    # One kappa row per write, formatted by one C-level % on a row template:
-    # each y is formatted once, into the template, and "%.17g" prints the
-    # Bond numbers exactly as _fmt does (both call PyOS_double_to_string).
-    pieces = [""] + [f",{_fmt(y)},%.17g,%s\n" for y in diagram.ys.tolist()]
-    fields = [None] * (2 * diagram.ys.size)
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("kappa,kappa_sqrtT,bond,label\n")
-        for kappa, bonds, labels in zip(diagram.kappas.tolist(), diagram.bonds, diagram.labels):
-            fields[::2] = bonds.tolist()
-            fields[1::2] = labels.tolist()
-            fh.write(_fmt(kappa).join(pieces) % tuple(fields))
+    # One kappa row per write, formatted by one C-level % on a row template
+    # whose y strings are formatted once.  format_g17 prints the Bond
+    # numbers of a block of rows exactly as _fmt does, without a call per
+    # node; a row's bytes objects are made only when it is written.
+    n = diagram.ys.size
+    pieces = [b""] + [b",%s,%%s,%%s\n" % _fmt(y).encode() for y in diagram.ys.tolist()]
+    fields = [None] * (2 * n)
+    step = max(1, FORMAT_BLOCK_NODES // n)
+    with open(args.out, "wb") as fh:
+        fh.write(b"kappa,kappa_sqrtT,bond,label\n")
+        for start in range(0, diagram.kappas.size, step):
+            rows = slice(start, start + step)
+            bonds = format_g17(diagram.bonds[rows])
+            for kappa, row, labels in zip(
+                diagram.kappas[rows].tolist(), bonds, diagram.labels[rows]
+            ):
+                fields[::2] = row.tolist()
+                fields[1::2] = labels.astype(bytes).tolist()
+                fh.write(_fmt(kappa).encode().join(pieces) % tuple(fields))
     curve_lines = ["mechanism,kappa,kappa_sqrtT"]
     for curve in diagram.curves:
         curve_lines += [
@@ -206,7 +221,7 @@ def _cmd_diagram(args: argparse.Namespace) -> tuple[None, list[str]]:
 def _cmd_hill(args: argparse.Namespace) -> tuple[dict, list[str]]:
     growth = growth_rate(args.xi, args.amplitude, args.kappa, args.bond, args.n_modes)
     rep = index(args.model, args.kappa, args.bond)
-    spectrally_unstable = growth > GROWTH_THRESHOLD
+    spectrally_unstable = growth > growth_threshold(args.amplitude)
     if rep.classification in ("S", "U"):
         index_unstable = rep.classification == "U"
         agreement = "AGREES" if spectrally_unstable == index_unstable else "DISAGREES"

@@ -26,5 +26,17 @@ SIDEBAND_LADDER = (1.0, 1.0 / 4.0, 1.0 / 16.0, 1.0 / 64.0)
 # Relative imaginary-part tolerance used when classifying quartic roots.
 CLASSIFY_TOL = 1e-6
 
-# Growth rates below this threshold count as spectrally stable.
+# Growth rates below this threshold count as spectrally stable, at the
+# default amplitude; see growth_threshold for other amplitudes.
 GROWTH_THRESHOLD = 1e-8
+
+
+def growth_threshold(amplitude: float) -> float:
+    """The spectral-stability threshold on Hill growth at this amplitude.
+
+    Growth in an unstable band scales as amplitude**2, so the threshold
+    does too: GROWTH_THRESHOLD * (amplitude / DEFAULT_AMPLITUDE)**2, which
+    is exactly GROWTH_THRESHOLD at DEFAULT_AMPLITUDE (and 0 at amplitude 0,
+    where the flat state has no growth).
+    """
+    return GROWTH_THRESHOLD * (amplitude / DEFAULT_AMPLITUDE) ** 2

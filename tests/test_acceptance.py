@@ -19,12 +19,12 @@ from fdsw.analysis import (
     large_T_limit,
 )
 from fdsw.bloch import Stability, classify_band
+from fdsw.config import growth_threshold
 from fdsw.dispersion import eval_dispersion
 from fdsw.factors import Branch, Model, factor_i1, factor_i2, factor_i3, factor_i4, index
 from fdsw.hill import growth_rate, growth_rate_band
 from fdsw.stokes import residual_periodic, wave_train
 
-GROWTH_THRESHOLD = 1e-8
 PROBE_KAPPAS = (0.3, 0.5, 0.8, 1.5, 2.0, 3.0)
 PROBE_BONDS = (0.0, 0.05, 0.2, 1.0, 5.0)
 
@@ -156,7 +156,7 @@ def test_oracle_triangle(acceptance_report):
         from_index = "U" if index(Model.FDSW2, kappa, bond).delta < 0.0 else "S"
         from_quartic = classify_band(1e-2, 1e-2, kappa, bond).value
         growth = growth_rate_band(1e-2, 1e-2, kappa, bond, 32)
-        from_hill = "U" if growth > GROWTH_THRESHOLD else "S"
+        from_hill = "U" if growth > growth_threshold(1e-2) else "S"
         if not (from_index == from_quartic == from_hill):
             disagreements.append((kappa, bond, from_index, from_quartic, from_hill))
     elapsed = time.perf_counter() - start

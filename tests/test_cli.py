@@ -112,6 +112,24 @@ def test_hill_agreement(capsys):
     assert "agreement = AGREES" in out
 
 
+def test_hill_threshold_scales_with_amplitude_squared(capsys):
+    # growth 3.9e-10 at a = 1e-3 is g/a**2 = 3.9e-4, the same as at
+    # a = 1e-2: the threshold 1e-8 * (a/1e-2)**2 counts it as unstable
+    args = (
+        "hill", "--xi", "1.5625e-5", "--amplitude", "1e-3",
+        "--kappa", "2.4409949038898686", "--bond", "1.2712400379054625",
+    )
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    growth = float(re.search(r"growth_rate = (\S+)", out).group(1))
+    assert 3.9e-10 < growth < 3.95e-10
+    assert "index_classification = U" in out
+    assert "agreement = AGREES" in out
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    record = json.loads(out)
+    assert record["agreement"] == "AGREES" and record["growth_rate"] == growth
+
+
 def test_hill_validation(capsys):
     code, _, err = run_cli(
         capsys, "hill", "--model", "fdsw2", "--xi", "0.9", "--amplitude", "0.01",
@@ -206,6 +224,52 @@ def test_diagram_grid_bytes_match_bench_reference(tmp_path, capsys, model):
     )
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == reference["grid_sha256"]
+
+
+def percent_template_grid(diagram) -> bytes:
+    """The grid CSV as written with one "%.17g" conversion per Bond number.
+
+    This is the row-template writer that format_g17 replaced, kept as the
+    byte reference for the diagram CLI.
+    """
+    pieces = [""] + [f",{_fmt(y)},%.17g,%s\n" for y in diagram.ys.tolist()]
+    fields = [None] * (2 * diagram.ys.size)
+    rows = ["kappa,kappa_sqrtT,bond,label\n"]
+    for kappa, bonds, labels in zip(diagram.kappas.tolist(), diagram.bonds, diagram.labels):
+        fields[::2] = bonds.tolist()
+        fields[1::2] = labels.tolist()
+        rows.append(_fmt(kappa).join(pieces) % tuple(fields))
+    return "".join(rows).encode()
+
+
+@pytest.mark.parametrize(
+    "model, kmax, ymax, resolution",
+    [
+        *((model, 3.0, 3.0, 600) for model in Model),
+        # Bond numbers below 1e-6 (printed by %.17g itself), in e-05 and e-06
+        # notation, and in fixed notation, beside the T = 0 column
+        (Model.FDSW2, 3.0, 0.03, 50),
+        # Bond numbers across 1e17, where fixed notation ends
+        (Model.WHITHAM, 3.0, 3e9, 40),
+        (Model.FDSW1, 3.0, 1e140, 4),
+    ],
+)
+def test_diagram_grid_bytes_match_percent_template(tmp_path, capsys, model, kmax, ymax, resolution):
+    out_path = tmp_path / "grid.csv"
+    code, _, err = run_cli(
+        capsys, "diagram", "--model", model.value, "--out", str(out_path),
+        "--kmax", repr(kmax), "--ymax", repr(ymax), "--resolution", str(resolution),
+    )
+    assert code == 0 and err == ""
+    diagram = stability_diagram(
+        model, k_range=(0.0, kmax), ksqrtT_range=(0.0, ymax), resolution=resolution
+    )
+    assert out_path.read_bytes() == percent_template_grid(diagram)
+    bonds = diagram.bonds[diagram.bonds > 0.0]
+    if resolution < 600:  # the window reaches the branch it is here for
+        assert bonds.min() < 1e-6 or bonds.max() >= 1e17
+    if ymax == 0.03:
+        assert ((1e-6 <= bonds) & (bonds < 1e-5)).any() and ((1e-5 <= bonds) & (bonds < 1e-4)).any()
 
 
 def test_diagram_rejects_curves_path_naming_the_grid_file(tmp_path, capsys, monkeypatch):
