@@ -32,10 +32,26 @@ from .factors import Model, factor_arrays, index, index_labels
 SCAN_POINTS = 2000
 ROOT_TOL = 1e-10
 
-# Largest end of a kappa range.  Below it the second-harmonic samples 2*kappa
-# and the geometric midpoints sqrt(k_lo*k_hi) of classify_intervals are
-# finite; inf and such ranges are rejected before any array work.
+# Smallest and largest ends of a kappa range, both inclusive.  Near
+# kappa = 1e-6 the factors i2 and i3 fall to round-off and scan nodes turn
+# into spurious roots; MIN_KAPPA, where critical_wavenumber's scan starts,
+# keeps two decades from that.  Above MAX_KAPPA the second-harmonic samples
+# 2*kappa and the geometric midpoints sqrt(k_lo*k_hi) of classify_intervals
+# are no longer finite.  Other ranges are rejected before any array work.
+MIN_KAPPA = 1e-4
 MAX_KAPPA = 1e150
+
+# critical_wavenumber scans i4 on [MIN_KAPPA, CRITICAL_K_MAX], then once on
+# [MIN_KAPPA, 4*CRITICAL_K_MAX], before it certifies divergence.
+CRITICAL_K_MAX = 50.0
+
+# large_T_limit calls the scaled threshold divergent when its tail increases
+# by more than this in the last step.
+DIV_INCREMENT = 0.1
+
+# Bond numbers (rays through the origin) along which the diagram's mechanism
+# curves are traced, T = 0 among them.
+CURVE_SAMPLES = 200
 
 # Points per factor pass of the bisection.  A factor pass on one point costs
 # nearly as much as one on a few hundred, so a few live brackets take
@@ -82,8 +98,10 @@ class _Roots:
 
 
 def _scan_grid(k_lo: float, k_hi: float, points: int) -> np.ndarray:
-    if not 0.0 < k_lo < k_hi <= MAX_KAPPA:
-        raise ValueError(f"need 0 < k_lo < k_hi <= {MAX_KAPPA:g}, got ({k_lo!r}, {k_hi!r})")
+    if not MIN_KAPPA <= k_lo < k_hi <= MAX_KAPPA:
+        raise ValueError(
+            f"need {MIN_KAPPA:g} <= k_lo < k_hi <= {MAX_KAPPA:g}, got ({k_lo!r}, {k_hi!r})"
+        )
     return np.geomspace(k_lo, k_hi, points)
 
 
@@ -226,14 +244,13 @@ def find_factor_roots(
     bond: float,
     k_lo: float,
     k_hi: float,
-    scan_points: int = SCAN_POINTS,
 ) -> list[float]:
     """All sign changes of the chosen factor on [k_lo, k_hi], sorted.
 
     Log-spaced scan followed by bisection to absolute tolerance 1e-10 in
     kappa.  No roots is an empty list, not an error.
     """
-    grid = _scan_grid(k_lo, k_hi, scan_points)
+    grid = _scan_grid(k_lo, k_hi, SCAN_POINTS)
     return _factor_roots(model, (which,), [bond], grid).root.tolist()
 
 
@@ -252,29 +269,24 @@ class CriticalResult:
         return self.kappa_c is None
 
 
-def critical_wavenumber(
-    model: Model,
-    bond: float,
-    k_max: float = 50.0,
-    allow_bond_third: bool = False,
-) -> CriticalResult:
+def critical_wavenumber(model: Model, bond: float) -> CriticalResult:
     """Smallest root of i4 (mechanism R4) at fixed Bond number.
 
     For T = 0 and T > 1/3 this root is unique and is the threshold above
     which small wave trains are modulationally unstable.  If no sign change
-    exists up to k_max, the scan is extended once to 4*k_max before a
-    divergence certificate (kappa_c = None) is returned.  A scan node where
-    i4 is exactly zero is returned as is, with a zero-width bracket.
+    exists up to CRITICAL_K_MAX, the scan is extended once to
+    4*CRITICAL_K_MAX before a divergence certificate (kappa_c = None) is
+    returned.  A scan node where i4 is exactly zero is returned as is, with a
+    zero-width bracket.  On the line T = 1/3 the index is inconclusive, and
+    InconclusiveBondError is raised.
     """
-    if k_max < 20.0:
-        raise ValueError(f"k_max must be >= 20, got {k_max!r}")
-    if abs(bond - 1.0 / 3.0) < BOND_THIRD_TOL and not allow_bond_third:
+    if abs(bond - 1.0 / 3.0) < BOND_THIRD_TOL:
         raise InconclusiveBondError(
             f"bond={bond!r} is on the T=1/3 line where the index is inconclusive"
         )
     model = Model(model)
-    for hi in (k_max, 4.0 * k_max):
-        found = _factor_roots(model, ("i4",), [bond], np.geomspace(1e-4, hi, SCAN_POINTS))
+    for hi in (CRITICAL_K_MAX, 4.0 * CRITICAL_K_MAX):
+        found = _factor_roots(model, ("i4",), [bond], _scan_grid(MIN_KAPPA, hi, SCAN_POINTS))
         if found.root.size:
             return CriticalResult(
                 model=model,
@@ -308,7 +320,6 @@ def large_T_limit(
     model: Model,
     bond_sequence: Sequence[float] = LIMIT_BONDS,
     conv_tol: float = 1e-3,
-    div_increment: float = 0.1,
 ) -> LimitEstimate:
     """Track kappa_c(T)*sqrt(T) over an increasing Bond sequence.
 
@@ -317,18 +328,17 @@ def large_T_limit(
     large-T limit for the models that have one.  Verdicts:
 
     - Divergent: the tail of the sequence (last three values) is strictly
-      increasing and the last increment exceeds ``div_increment``, or the
+      increasing and the last increment exceeds DIV_INCREMENT, or the
       threshold escaped the search range altogether.
     - Converged: the last two values differ by less than ``conv_tol``.
 
-    Both tolerances must be finite and positive.
+    ``conv_tol`` must be finite and positive.
     """
     bonds = tuple(bond_sequence)
     if len(bonds) < 2 or any(b2 <= b1 for b1, b2 in zip(bonds, bonds[1:])):
         raise ValueError("bond_sequence must be increasing with at least two entries")
-    for name, tol in (("conv_tol", conv_tol), ("div_increment", div_increment)):
-        if not (tol > 0.0 and math.isfinite(tol)):
-            raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
+    if not (conv_tol > 0.0 and math.isfinite(conv_tol)):
+        raise ValueError(f"conv_tol must be finite and > 0, got {conv_tol!r}")
     kappas: list[float | None] = []
     scaled: list[float | None] = []
     for T in bonds:
@@ -345,7 +355,7 @@ def large_T_limit(
         increasing = all(b > a for a, b in zip(tail, tail[1:]))
         last_two = [y for y in scaled[-2:] if y is not None]
         last_inc = last_two[1] - last_two[0] if len(last_two) == 2 else math.inf
-        if increasing and last_inc > div_increment:
+        if increasing and last_inc > DIV_INCREMENT:
             verdict = Verdict.DIVERGENT
         elif abs(last_inc) < conv_tol:
             verdict = Verdict.CONVERGED
@@ -423,7 +433,6 @@ def stability_diagram(
     k_range: tuple[float, float] = (0.0, 3.0),
     ksqrtT_range: tuple[float, float] = (0.0, 3.0),
     resolution: int = 600,
-    curve_samples: int = 200,
 ) -> StabilityDiagram:
     """Classified grid plus mechanism curves in the (kappa, kappa*sqrt(T)) plane.
 
@@ -432,8 +441,8 @@ def stability_diagram(
     in kappa, converted to the scaled plane.
     """
     model = Model(model)
-    if resolution < 2 or curve_samples < 2:
-        raise ValueError("resolution and curve_samples must be >= 2")
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
     if resolution > MAX_RESOLUTION:
         raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution!r}")
     k_lo, k_hi = k_range
@@ -476,7 +485,7 @@ def stability_diagram(
 
     # Fixed T is a ray of slope sqrt(T) through the origin; each mechanism
     # curve is swept by bisecting its factor along rays of increasing slope.
-    rays = np.array([0.0] + list(np.geomspace(1e-4, t_max, curve_samples - 1)))
+    rays = np.array([0.0] + list(np.geomspace(1e-4, t_max, CURVE_SAMPLES - 1)))
     found = _factor_roots(model, MECHANISM_FACTORS, rays, _scan_grid(scan_lo, k_hi, 400))
     y = found.root * np.sqrt(rays[found.ray])
     keep = (y_lo <= y) & (y <= y_hi)

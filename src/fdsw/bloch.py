@@ -178,10 +178,10 @@ def build_matrices(xi: float, amplitude: float, kappa: float, bond: float) -> Bl
     )
 
 
-def classify_from_quartic(bm: BlochMatrices, tol: float = CLASSIFY_TOL) -> Stability:
+def classify_from_quartic(bm: BlochMatrices) -> Stability:
     """Stable/unstable from the roots of the quartic in X = lambda/(i*xi).
 
-    Unstable iff some root X has |Im X| > tol * (1 + max |X|), i.e. some
+    Unstable iff some root X has |Im X| > CLASSIFY_TOL * (1 + max |X|), i.e. some
     bifurcating eigenvalue leaves the imaginary axis.
     """
     xi = bm.xi
@@ -196,7 +196,7 @@ def classify_from_quartic(bm: BlochMatrices, tol: float = CLASSIFY_TOL) -> Stabi
     roots = np.roots(coeffs[::-1])
     worst = max(abs(r.imag) for r in roots)
     biggest = max(abs(r) for r in roots)
-    if worst > tol * (1.0 + biggest):
+    if worst > CLASSIFY_TOL * (1.0 + biggest):
         return Stability.UNSTABLE
     return Stability.STABLE
 

@@ -18,6 +18,7 @@ from .analysis import (
     LIMIT_BONDS,
     MAX_KAPPA,
     MAX_RESOLUTION,
+    MIN_KAPPA,
     InconclusiveBondError,
     classify_intervals,
     critical_wavenumber,
@@ -65,9 +66,10 @@ def _validate(args: argparse.Namespace) -> None:
         if value is not None and not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"precondition violated: finite {label} > 0 (got {value})")
     k_lo, k_hi = getattr(args, "k_lo", None), getattr(args, "k_hi", None)
-    if k_lo is not None and not 0.0 < k_lo < k_hi <= MAX_KAPPA:
+    if k_lo is not None and not MIN_KAPPA <= k_lo < k_hi <= MAX_KAPPA:
         raise ValueError(
-            f"precondition violated: 0 < k_lo < k_hi <= {MAX_KAPPA:g} (got {k_lo}, {k_hi})"
+            f"precondition violated: {MIN_KAPPA:g} <= k_lo < k_hi <= {MAX_KAPPA:g} "
+            f"(got {k_lo}, {k_hi})"
         )
     xi = getattr(args, "xi", None)
     if xi is not None and not abs(xi) <= 0.5:
@@ -95,9 +97,18 @@ def _emit(fmt: str, record: dict | None, lines: list[str]) -> None:
     """Print the JSON record or the CSV lines, as --format asks.
 
     Every handler returns its record and its lines; a command without a
-    record (diagram) prints its lines in either format.
+    record (diagram) prints its lines in either format.  JSON has no NaN or
+    infinity (RFC 8259): a record's non-finite numbers (the index values at
+    an OutsideValidity point) print as null.
     """
-    print(json.dumps(record) if fmt == "json" and record is not None else "\n".join(lines))
+    if fmt == "json" and record is not None:
+        finite = {
+            key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in record.items()
+        }
+        print(json.dumps(finite, allow_nan=False))
+    else:
+        print("\n".join(lines))
 
 
 def _cmd_index(args: argparse.Namespace) -> tuple[dict, list[str]]:

@@ -34,13 +34,19 @@ the radius filter ORIGIN_RADIUS_FACTOR instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import SIDEBAND_LADDER
 from .dispersion import eval_dispersion_squared_array
-from .stokes import PolishedWave, WaveRefinementError, WaveTrain, polish_wave, wave_train
+from .stokes import (
+    PolishedWave,
+    WaveRefinementError,
+    _convolution_matrix,
+    polish_wave,
+    wave_train,
+)
 
 # The dense solve (the fallback of the quartet solve, and its test
 # reference) keeps the eigenvalues within this multiple of (|xi| + |a|) of
@@ -71,25 +77,18 @@ QUARTET_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HillProblem:
-    """Truncated Floquet-Bloch matrix of the linearization.
+    """Truncated Floquet-Bloch matrix of the linearization at sideband xi.
 
     ``real_matrix`` is the real M with L(xi) = 1j*M; ``matrix`` is L.
-    ``newton_iterations`` and ``newton_residual`` report the polish of the
-    wave the operator is linearized about.
+    ``wave`` is the polished wave it is linearized about: its coefficients,
+    speed and Newton diagnostics, and as ``wave.wave`` the second-order
+    expansion (amplitude, kappa, bond) the polish started from.
     """
 
     xi: float
-    amplitude: float
-    kappa: float
-    bond: float
     n_modes: int
     real_matrix: np.ndarray  # real, dimension 2*(2*n_modes + 1)
-    wave: WaveTrain  # second-order expansion the refinement started from
-    eta_coeffs: np.ndarray  # refined cosine coefficients actually linearized about
-    u_coeffs: np.ndarray
-    speed: float
-    newton_iterations: int
-    newton_residual: float
+    wave: PolishedWave
 
     @property
     def matrix(self) -> np.ndarray:
@@ -102,64 +101,6 @@ def _check_n_modes(n_modes: int) -> None:
         raise ValueError(f"n_modes must be in [8, {MAX_N_MODES}], got {n_modes!r}")
 
 
-def _convolution_matrix(cos_coeffs: np.ndarray, n_modes: int) -> np.ndarray:
-    """Multiplication by an even cosine polynomial on exponential modes -N..N."""
-    # cos(m z) = (e^{imz} + e^{-imz})/2: entry (p, q) is the weight of |p - q|.
-    weights = np.zeros(2 * n_modes + 1)
-    take = min(len(cos_coeffs), weights.size)
-    weights[:take] = 0.5 * cos_coeffs[:take]
-    weights[0] = cos_coeffs[0]
-    n = np.arange(2 * n_modes + 1)
-    return weights[np.abs(n[:, None] - n)]
-
-
-def _real_operator(xi: float, wave: PolishedWave, n_modes: int) -> np.ndarray:
-    """The real M(xi) with L(xi) = 1j*M(xi)."""
-    shifted = xi + np.arange(-n_modes, n_modes + 1)
-    symbol = eval_dispersion_squared_array(wave.wave.kappa * np.abs(shifted), wave.wave.bond)
-    conv_u = _convolution_matrix(wave.u_coeffs, n_modes)
-    conv_eta = _convolution_matrix(wave.eta_coeffs, n_modes)
-    ident = np.eye(2 * n_modes + 1)
-    block = np.block(
-        [
-            [wave.speed * ident - conv_u, -np.diag(symbol) - conv_eta],
-            [-ident, wave.speed * ident - conv_u],
-        ]
-    )
-    return np.concatenate([shifted, shifted])[:, None] * block
-
-
-def assemble(
-    xi: float, amplitude: float, kappa: float, bond: float, n_modes: int
-) -> HillProblem:
-    """Build the Floquet-Bloch matrix at sideband xi about the wave train."""
-    _check_n_modes(n_modes)
-    wave = polish_wave(wave_train(amplitude, kappa, bond))
-    return HillProblem(
-        xi=xi,
-        amplitude=amplitude,
-        kappa=kappa,
-        bond=bond,
-        n_modes=n_modes,
-        real_matrix=_real_operator(xi, wave, n_modes),
-        wave=wave.wave,
-        eta_coeffs=wave.eta_coeffs,
-        u_coeffs=wave.u_coeffs,
-        speed=wave.speed,
-        newton_iterations=wave.iterations,
-        newton_residual=wave.residual,
-    )
-
-
-def _dense_growth(xi: float, amplitude: float, wave: PolishedWave, n_modes: int) -> float:
-    """Growth at one sideband from every eigenvalue of M within the origin radius."""
-    radius = ORIGIN_RADIUS_FACTOR * (abs(xi) + abs(amplitude))
-    # L = 1j*M with M real, so the eigenvalues of L are 1j times those of M.
-    eigenvalues = 1j * np.linalg.eigvals(_real_operator(xi, wave, n_modes))
-    near = eigenvalues[np.abs(eigenvalues) <= radius]
-    return float(near.real.max()) if near.size else 0.0
-
-
 @dataclass(frozen=True)
 class _SidebandBlocks:
     """M(xi) at several sidebands at once, through its blocks.
@@ -169,43 +110,65 @@ class _SidebandBlocks:
     x1 = A x2 - z2 with (A^2 - C_eta - S) x2 = z1 + A z2, z = D^-1 y, so a
     solve needs one dim x dim Schur complement per sideband, not the
     2*dim x 2*dim M.  A^2 - C_eta is shared; only S differs per sideband.
-    Stacked operands have one leading row per sideband.
+    Stacked operands have one leading row per sideband.  This is the one
+    statement of M: :meth:`dense` forms it for :func:`assemble` and the dense
+    solve, and the quartet solve uses :meth:`apply` and :meth:`solver`.
     """
 
     scale: np.ndarray  # the diagonal of D, (sidebands, 2*dim, 1)
     symbol: np.ndarray  # the diagonal of S, (sidebands, dim)
     block_a: np.ndarray
     conv_eta: np.ndarray
-    schur_inv: np.ndarray  # (A^2 - C_eta - S)^-1, (sidebands, dim, dim)
 
     @classmethod
-    def build(cls, shifted: np.ndarray, wave: PolishedWave, n_modes: int) -> _SidebandBlocks:
-        """The blocks at the shifted modes n + xi, one row per sideband, none zero."""
-        dim = 2 * n_modes + 1
+    def build(cls, xis, wave: PolishedWave, n_modes: int) -> _SidebandBlocks:
+        """The blocks at the sidebands ``xis``, about ``wave``."""
+        shifted = np.asarray(xis, dtype=float)[:, None] + np.arange(-n_modes, n_modes + 1)
         symbol = eval_dispersion_squared_array(wave.wave.kappa * np.abs(shifted), wave.wave.bond)
-        conv_eta = _convolution_matrix(wave.eta_coeffs, n_modes)
-        block_a = wave.speed * np.eye(dim) - _convolution_matrix(wave.u_coeffs, n_modes)
-        schur = np.repeat((block_a @ block_a - conv_eta)[None], len(shifted), axis=0)
-        schur[:, np.arange(dim), np.arange(dim)] -= symbol
+        conv_u = _convolution_matrix(wave.u_coeffs, n_modes)
         return cls(
             scale=np.concatenate([shifted, shifted], axis=1)[..., None],
             symbol=symbol,
-            block_a=block_a,
-            conv_eta=conv_eta,
-            schur_inv=np.linalg.inv(schur),
+            block_a=wave.speed * np.eye(2 * n_modes + 1) - conv_u,
+            conv_eta=_convolution_matrix(wave.eta_coeffs, n_modes),
         )
+
+    def take(self, rows) -> _SidebandBlocks:
+        """The blocks of the sidebands ``rows`` (an index or a mask)."""
+        return replace(self, scale=self.scale[rows], symbol=self.symbol[rows])
+
+    def dense(self) -> np.ndarray:
+        """M itself, (sidebands, 2*dim, 2*dim)."""
+        sidebands, dim = self.symbol.shape
+        diag = np.zeros((sidebands, dim, dim))
+        diag[:, np.arange(dim), np.arange(dim)] = self.symbol
+        block = np.empty((sidebands, 2 * dim, 2 * dim))
+        block[:, :dim, :dim] = self.block_a
+        block[:, :dim, dim:] = -diag - self.conv_eta
+        block[:, dim:, :dim] = -np.eye(dim)
+        block[:, dim:, dim:] = self.block_a
+        return self.scale * block
+
+    def solver(self):
+        """The map y -> M^-1 y; raises LinAlgError where a Schur complement is singular."""
+        dim = self.symbol.shape[1]
+        shared = self.block_a @ self.block_a - self.conv_eta
+        schur = np.repeat(shared[None], len(self.symbol), axis=0)
+        schur[:, np.arange(dim), np.arange(dim)] -= self.symbol
+        schur_inv = np.linalg.inv(schur)
+
+        def solve(y: np.ndarray) -> np.ndarray:
+            z1, z2 = np.split(y / self.scale, 2, axis=1)
+            x2 = schur_inv @ (z1 + self.block_a @ z2)
+            return np.concatenate([self.block_a @ x2 - z2, x2], axis=1)
+
+        return solve
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """M x."""
         x1, x2 = np.split(x, 2, axis=1)
         top = self.block_a @ x1 - self.symbol[..., None] * x2 - self.conv_eta @ x2
         return self.scale * np.concatenate([top, self.block_a @ x2 - x1], axis=1)
-
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """M^-1 y."""
-        z1, z2 = np.split(y / self.scale, 2, axis=1)
-        x2 = self.schur_inv @ (z1 + self.block_a @ z2)
-        return np.concatenate([self.block_a @ x2 - z2, x2], axis=1)
 
     def frobenius(self) -> np.ndarray:
         """||M||_F per sideband, from the rows of D [A, -S - C_eta] and D [-I, A]."""
@@ -215,7 +178,26 @@ class _SidebandBlocks:
         return np.sqrt(np.sum(shifted**2 * rows, axis=1))
 
 
-def _quartet_growth(xis: np.ndarray, wave: PolishedWave, n_modes: int) -> np.ndarray:
+def assemble(
+    xi: float, amplitude: float, kappa: float, bond: float, n_modes: int
+) -> HillProblem:
+    """Build the Floquet-Bloch matrix at sideband xi about the wave train."""
+    _check_n_modes(n_modes)
+    wave = polish_wave(wave_train(amplitude, kappa, bond))
+    blocks = _SidebandBlocks.build([xi], wave, n_modes)
+    return HillProblem(xi=xi, n_modes=n_modes, real_matrix=blocks.dense()[0], wave=wave)
+
+
+def _dense_growth(real_matrix: np.ndarray, xi: float, amplitude: float) -> float:
+    """Growth at one sideband from every eigenvalue of M within the origin radius."""
+    radius = ORIGIN_RADIUS_FACTOR * (abs(xi) + abs(amplitude))
+    # L = 1j*M with M real, so the eigenvalues of L are 1j times those of M.
+    eigenvalues = 1j * np.linalg.eigvals(real_matrix)
+    near = eigenvalues[np.abs(eigenvalues) <= radius]
+    return float(near.real.max()) if near.size else 0.0
+
+
+def _quartet_growth(blocks: _SidebandBlocks) -> np.ndarray:
     """Growth of the certified near-origin quartet at each sideband; nan where uncertified.
 
     Inverse subspace iteration from the modes START_MODES of both
@@ -226,23 +208,23 @@ def _quartet_growth(xis: np.ndarray, wave: PolishedWave, n_modes: int) -> np.nda
     sideband is uncertified when the batched inverse of the Schur
     complements fails.
     """
-    dim = 2 * n_modes + 1
-    growth = np.full(xis.size, np.nan)
-    shifted = xis[:, None] + np.arange(-n_modes, n_modes + 1)
-    solvable = np.all(shifted != 0.0, axis=1)
+    sidebands, dim = blocks.symbol.shape
+    growth = np.full(sidebands, np.nan)
+    solvable = np.all(blocks.scale != 0.0, axis=(1, 2))
     if not solvable.any():
         return growth
+    blocks = blocks.take(solvable)
     try:
-        blocks = _SidebandBlocks.build(shifted[solvable], wave, n_modes)
+        solve = blocks.solver()
     except np.linalg.LinAlgError:
         return growth
-    start = n_modes + np.array(START_MODES)
+    start = dim // 2 + np.array(START_MODES)
     start = np.concatenate([start, dim + start])
-    basis = np.zeros((int(solvable.sum()), 2 * dim, start.size))
+    basis = np.zeros((len(blocks.symbol), 2 * dim, start.size))
     basis[:, start, np.arange(start.size)] = 1.0
     with np.errstate(all="ignore"):
         for _ in range(SUBSPACE_ITERATIONS):
-            basis = np.linalg.qr(blocks.solve(basis))[0]
+            basis = np.linalg.qr(solve(basis))[0]
         image = blocks.apply(basis)
         projected = basis.transpose(0, 2, 1) @ image
         finite = np.all(np.isfinite(projected), axis=(1, 2))
@@ -274,10 +256,11 @@ def _ladder_growth(
         return 0.0
     _check_n_modes(n_modes)
     wave = polish_wave(wave_train(amplitude, kappa, bond))
+    blocks = _SidebandBlocks.build(xis, wave, n_modes)
     best = 0.0
-    for xi, quartet in zip(xis, _quartet_growth(np.array(xis), wave, n_modes)):
+    for row, quartet in enumerate(_quartet_growth(blocks)):
         if np.isnan(quartet):
-            quartet = _dense_growth(xi, amplitude, wave, n_modes)
+            quartet = _dense_growth(blocks.take([row]).dense()[0], xis[row], amplitude)
         best = max(best, float(quartet))
     return best
 

@@ -122,25 +122,36 @@ def check_resonance_admissible(kappa: float, bond: float, n_max: int) -> list[in
     return hits
 
 
-def cos_product_matrix(f: np.ndarray, modes: int) -> np.ndarray:
-    """The matrix C(f) of multiplication by the cosine series f on modes 0..modes.
+def _convolution_matrix(f: np.ndarray, modes: int) -> np.ndarray:
+    """Multiplication by the cosine series f on exponential modes -modes..modes.
 
-    ``C(f) @ g`` holds the cosine coefficients 0..modes of the product of
-    f and g, g given on modes 0..modes; coefficients of f beyond 2*modes
-    cannot reach the output and are ignored.  With w the exponential
-    weights of f (w[0] = f[0], w[k] = f[k]/2), cos(i z)*cos(j z) =
-    (cos((i+j) z) + cos(|i-j| z))/2 gives
-
-        C[m, j] = w[|m-j|] + w[m+j],   halved on the mean row m = 0.
-
-    The product is bilinear and symmetric, so C(f) @ g == C(g) @ f.
+    cos(k z) = (e^{ikz} + e^{-ikz})/2, so f has the exponential weights
+    w[0] = f[0], w[k] = f[k]/2, and entry (p, q) is w[|p - q|].
+    Coefficients of f beyond 2*modes cannot reach the output and are ignored.
     """
     w = np.zeros(2 * modes + 1)
     take = min(len(f), w.size)
     w[:take] = 0.5 * f[:take]
     w[0] = f[0]
-    m = np.arange(modes + 1)
-    out = w[np.abs(m[:, None] - m)] + w[m[:, None] + m]
+    n = np.arange(2 * modes + 1)
+    return w[np.abs(n[:, None] - n)]
+
+
+def cos_product_matrix(f: np.ndarray, modes: int) -> np.ndarray:
+    """The matrix C(f) of multiplication by the cosine series f on modes 0..modes.
+
+    ``C(f) @ g`` holds the cosine coefficients 0..modes of the product of
+    f and g, g given on modes 0..modes.  It is the exponential-mode
+    convolution T folded onto cosines: g_j cos(j z) has the weights g_j/2 on
+    the modes +-j, and the coefficient of cos(m z) is twice the weight of
+    mode m (once the weight of the mean), so
+
+        C[m, j] = T[m, j] + T[m, -j],   halved on the mean row m = 0.
+
+    The product is bilinear and symmetric, so C(f) @ g == C(g) @ f.
+    """
+    conv = _convolution_matrix(f, modes)
+    out = conv[modes:, modes:] + conv[modes:, modes::-1]
     out[0] *= 0.5
     return out
 
@@ -237,16 +248,19 @@ def polish_wave(wave: WaveTrain) -> PolishedWave:
     The unknowns are the cosine coefficients of eta and u on modes
     0..:data:`POLISH_MODES` and the speed; u_1 stays pinned at the
     amplitude.  Raises :class:`WaveRefinementError` when the residual is not
-    below :data:`POLISH_TOL` within :data:`POLISH_MAX_ITER` evaluations.
+    below :data:`POLISH_TOL` within :data:`POLISH_MAX_ITER` evaluations; an
+    overflow or NaN on the way shows as a non-finite residual, so numpy's
+    floating-point warnings are silenced.
     """
     symbol = wave_symbol(wave.kappa, wave.bond, POLISH_MODES)
     x = _pack(wave.eta_coeffs, wave.u_coeffs, wave.speed, POLISH_MODES)
-    for iterations in range(POLISH_MAX_ITER):
-        r = wave_residual(x, symbol, wave.amplitude)
-        residual = float(np.max(np.abs(r)))
-        if residual < POLISH_TOL or not math.isfinite(residual):
-            break
-        x = x - np.linalg.solve(wave_jacobian(x, symbol), r)
+    with np.errstate(all="ignore"):
+        for iterations in range(POLISH_MAX_ITER):
+            r = wave_residual(x, symbol, wave.amplitude)
+            residual = float(np.max(np.abs(r)))
+            if residual < POLISH_TOL or not math.isfinite(residual):
+                break
+            x = x - np.linalg.solve(wave_jacobian(x, symbol), r)
     if not residual < POLISH_TOL:
         raise WaveRefinementError(
             f"wave refinement did not converge at kappa={wave.kappa!r}, bond={wave.bond!r}"

@@ -343,6 +343,51 @@ def test_hill_refinement_failure_exit_code(capsys):
     assert "did not converge" in err
 
 
+def test_hill_overflowing_amplitude_prints_one_error_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "hill", "--xi", "0.01", "--amplitude", "1e300", "--kappa", "2",
+        )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: wave refinement did not converge")
+    assert err.count("\n") == 1
+
+
+def test_intervals_accept_the_smallest_kappa(capsys):
+    code, out, err = run_cli(capsys, "intervals", "--bond", "0.2", "--k-lo", "1e-4")
+    assert code == 0 and err == ""
+    lines = out.split("\n")
+    assert lines[1].startswith("0.0001,")
+    assert [line.rsplit(",", 1)[1] for line in lines[1:-1]] == list("SUSUSU")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize(
+    "args, csv_lines",
+    [
+        # the README's OutsideValidity example
+        (("index", "--kappa", "1", "--bond", "1e300"), ["i4 = nan", "delta = nan"]),
+        (("index", "--model", "fdsw1", "--kappa", "3", "--bond", "1e140"), ["delta = -inf"]),
+    ],
+)
+def test_json_prints_non_finite_numbers_as_null(capsys, args, csv_lines):
+    code, out, err = run_cli(capsys, *args, "--format", "json")
+    assert code == 0 and err == ""
+    record = json.loads(out, parse_constant=_reject_constant)
+    nulls = [line.split(" = ")[0] for line in csv_lines]
+    assert [key for key, value in record.items() if value is None] == nulls
+    assert record["classification"] == "OutsideValidity"
+    # the CSV output is unchanged: it prints the numbers as %.17g does
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert set(csv_lines) <= set(out.split("\n"))
+
+
 def test_diagram_io_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "diagram", "--model", "fdsw2",
@@ -366,6 +411,9 @@ def test_diagram_io_error_exit_code(tmp_path, capsys):
         ("intervals", "--bond", "0.2", "--k-hi", "1e308"),
         # its factor scan would end beyond MAX_KAPPA
         ("diagram", "--kmax", "1e200", "--resolution", "8", "--out", "unused.csv"),
+        # below MIN_KAPPA the factors are round-off and every scan node a root
+        ("intervals", "--bond", "0.2", "--k-lo", "1e-8"),
+        ("intervals", "--bond", "0.2", "--k-lo", "1e-200"),
     ],
 )
 def test_meaningless_limits_exit_2(capsys, args):

@@ -6,7 +6,7 @@ import fdsw.hill
 from fdsw.bloch import Stability, classify_band
 from fdsw.config import GROWTH_THRESHOLD, SIDEBAND_LADDER
 from fdsw.factors import Model, index
-from fdsw.dispersion import eval_dispersion
+from fdsw.dispersion import eval_dispersion, eval_dispersion_squared
 from fdsw.hill import MAX_N_MODES, WaveRefinementError, assemble, growth_rate, growth_rate_band
 from fdsw.stokes import POLISH_TOL, wave_train
 
@@ -75,11 +75,11 @@ def test_refined_wave_matches_expansion_through_second_order():
     a = 0.01
     prob = assemble(0.0, a, 1.0, 0.0, 16)
     w = wave_train(a, 1.0, 0.0)
-    np.testing.assert_allclose(prob.u_coeffs[:3], w.u_coeffs, atol=5.0 * a**3)
-    np.testing.assert_allclose(prob.eta_coeffs[:3], w.eta_coeffs, atol=5.0 * a**3)
-    assert prob.speed == pytest.approx(w.speed, abs=5.0 * a**3)
+    np.testing.assert_allclose(prob.wave.u_coeffs[:3], w.u_coeffs, atol=5.0 * a**3)
+    np.testing.assert_allclose(prob.wave.eta_coeffs[:3], w.eta_coeffs, atol=5.0 * a**3)
+    assert prob.wave.speed == pytest.approx(w.speed, abs=5.0 * a**3)
     # beyond the expansion's reach the coefficients keep decaying
-    assert abs(prob.u_coeffs[3]) < abs(prob.u_coeffs[2])
+    assert abs(prob.wave.u_coeffs[3]) < abs(prob.wave.u_coeffs[2])
 
 
 def test_convolution_band_matches_wave_coefficients():
@@ -90,12 +90,12 @@ def test_convolution_band_matches_wave_coefficients():
     # row of mode n=1 (index N+1): M[n, :dim] = i*n*(speed*e_n - u-convolution)
     unit = np.zeros(dim)
     unit[N + 1] = 1.0
-    row = prob.speed * unit - prob.matrix[N + 1, :dim] / 1j
-    assert row[N + 1].real == pytest.approx(prob.u_coeffs[0], abs=1e-14)
-    assert row[N].real == pytest.approx(0.5 * prob.u_coeffs[1], abs=1e-14)
-    assert row[N + 2].real == pytest.approx(0.5 * prob.u_coeffs[1], abs=1e-14)
-    assert row[N - 1].real == pytest.approx(0.5 * prob.u_coeffs[2], abs=1e-14)
-    assert row[N + 3].real == pytest.approx(0.5 * prob.u_coeffs[2], abs=1e-14)
+    row = prob.wave.speed * unit - prob.matrix[N + 1, :dim] / 1j
+    assert row[N + 1].real == pytest.approx(prob.wave.u_coeffs[0], abs=1e-14)
+    assert row[N].real == pytest.approx(0.5 * prob.wave.u_coeffs[1], abs=1e-14)
+    assert row[N + 2].real == pytest.approx(0.5 * prob.wave.u_coeffs[1], abs=1e-14)
+    assert row[N - 1].real == pytest.approx(0.5 * prob.wave.u_coeffs[2], abs=1e-14)
+    assert row[N + 3].real == pytest.approx(0.5 * prob.wave.u_coeffs[2], abs=1e-14)
     # and these agree with the second-order expansion to O(a^3)
     w = wave_train(a, 1.0, 0.0)
     assert row[N].real == pytest.approx(0.5 * w.u_coeffs[1], abs=5.0 * a**3)
@@ -134,6 +134,38 @@ def test_refinement_failure_is_a_named_arithmetic_error():
     with pytest.raises(WaveRefinementError):
         growth_rate(0.01, 10.0, 1.0, 0.0, 32)
     assert issubclass(WaveRefinementError, ArithmeticError)
+
+
+def test_overflowing_polish_is_a_refinement_error_without_warnings():
+    # a**2 overflows: the polish sees a non-finite residual and says so,
+    # with no numpy RuntimeWarning (an error under this suite) on the way
+    with pytest.raises(WaveRefinementError):
+        growth_rate(0.01, 1e300, 2.0, 0.0, 32)
+
+
+@pytest.mark.parametrize(
+    "xi, a, kappa, bond", [(0.3, 0.05, 1.2, 0.4), (0.0, 0.01, 1.0, 0.0), (-0.5, 0.02, 2.0, 3.0)]
+)
+def test_matrix_is_the_block_formula(xi, a, kappa, bond):
+    # M = D [[c I - C_u, -S - C_eta], [-I, c I - C_u]], written out entry by entry
+    N = 12
+    prob = assemble(xi, a, kappa, bond, N)
+    wave = prob.wave
+    modes = range(-N, N + 1)
+
+    def conv(coeffs):
+        # cos(k z) = (e^{ikz} + e^{-ikz})/2; the polished wave has fewer than 2N modes
+        weight = [coeffs[0]] + [f / 2.0 for f in coeffs[1:]] + [0.0] * (2 * N)
+        return np.array([[weight[abs(p - q)] for q in modes] for p in modes])
+
+    ident = np.eye(2 * N + 1)
+    symbol = np.diag([eval_dispersion_squared(kappa * abs(n + xi), bond) for n in modes])
+    block_a = wave.speed * ident - conv(wave.u_coeffs)
+    expected = np.vstack(
+        [np.hstack([block_a, -symbol - conv(wave.eta_coeffs)]), np.hstack([-ident, block_a])]
+    )
+    expected *= np.array([n + xi for n in modes] * 2)[:, None]
+    np.testing.assert_allclose(prob.real_matrix, expected, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("xi, a, kappa, bond", [(0.01, 0.01, 2.0, 0.0), (0.3, 0.05, 1.2, 0.4)])
@@ -181,12 +213,12 @@ def test_ladder_reaches_narrow_bands(kappa, bond):
 
 def test_polish_diagnostics():
     prob = assemble(0.01, 0.01, 2.0, 0.0, 16)
-    assert prob.newton_iterations >= 1
-    assert prob.newton_residual < POLISH_TOL
+    assert prob.wave.iterations >= 1
+    assert prob.wave.residual < POLISH_TOL
     # the unperturbed wave solves the system as it stands
     flat = assemble(0.01, 0.0, 2.0, 0.0, 16)
-    assert flat.newton_iterations == 0
-    assert flat.newton_residual == 0.0
+    assert flat.wave.iterations == 0
+    assert flat.wave.residual == 0.0
 
 
 def _dense_reference(xi, a, kappa, bond, n_modes):
@@ -249,12 +281,10 @@ def test_fallback_at_xi_zero_keeps_its_value():
 )
 def test_block_solve_matches_dense_solve(xi, kappa, bond):
     prob = assemble(xi, 1e-2, kappa, bond, 32)
-    wave = fdsw.hill.polish_wave(wave_train(1e-2, kappa, bond))
-    shifted = xi + np.arange(-32, 33)[None, :]
-    blocks = fdsw.hill._SidebandBlocks.build(shifted, wave, 32)
+    blocks = fdsw.hill._SidebandBlocks.build([xi], prob.wave, 32)
     y = np.random.default_rng(0).standard_normal((1, 130, 3))
     expected = np.linalg.solve(prob.real_matrix, y[0])
-    found = blocks.solve(y)[0]
+    found = blocks.solver()(y)[0]
     assert np.linalg.norm(found - expected) <= 1e-9 * np.linalg.norm(expected)
     product = prob.real_matrix @ y[0]
     assert np.abs(blocks.apply(y)[0] - product).max() <= 1e-12 * np.abs(product).max()
