@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import BOND_THIRD_TOL
+from .config import on_bond_third
+from .dispersion import check_domain
 from .factors import Model, factor_arrays, index, index_labels
 
 # Scan density and bisection tolerance for factor root finding.  The factors
@@ -277,10 +278,11 @@ def critical_wavenumber(model: Model, bond: float) -> CriticalResult:
     exists up to CRITICAL_K_MAX, the scan is extended once to
     4*CRITICAL_K_MAX before a divergence certificate (kappa_c = None) is
     returned.  A scan node where i4 is exactly zero is returned as is, with a
-    zero-width bracket.  On the line T = 1/3 the index is inconclusive, and
-    InconclusiveBondError is raised.
+    zero-width bracket.  Before any scan, a bond on the line T = 1/3 raises
+    InconclusiveBondError and one not finite and >= 0 raises ValueError.
     """
-    if abs(bond - 1.0 / 3.0) < BOND_THIRD_TOL:
+    check_domain(None, bond)
+    if on_bond_third(bond):
         raise InconclusiveBondError(
             f"bond={bond!r} is on the T=1/3 line where the index is inconclusive"
         )
@@ -332,9 +334,11 @@ def large_T_limit(
       threshold escaped the search range altogether.
     - Converged: the last two values differ by less than ``conv_tol``.
 
-    ``conv_tol`` must be finite and positive.
+    The Bond numbers must be finite and >= 0, ``conv_tol`` finite and > 0.
     """
     bonds = tuple(bond_sequence)
+    for bond in bonds:
+        check_domain(None, bond)
     if len(bonds) < 2 or any(b2 <= b1 for b1, b2 in zip(bonds, bonds[1:])):
         raise ValueError("bond_sequence must be increasing with at least two entries")
     if not (conv_tol > 0.0 and math.isfinite(conv_tol)):
@@ -379,6 +383,7 @@ def classify_intervals(
     the index) and i4; each resulting interval is labeled by the index
     classification at its geometric midpoint.
     """
+    check_domain(None, bond)
     grid = _scan_grid(k_lo, k_hi, SCAN_POINTS)
     delimiters = _factor_roots(model, MECHANISM_FACTORS, [bond], grid).root
     edges = [k_lo] + sorted(delimiters.tolist()) + [k_hi]
@@ -441,16 +446,14 @@ def stability_diagram(
     in kappa, converted to the scaled plane.
     """
     model = Model(model)
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    if resolution > MAX_RESOLUTION:
-        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution!r}")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution!r}")
     k_lo, k_hi = k_range
     y_lo, y_hi = ksqrtT_range
     window = f"window {k_range!r} x {ksqrtT_range!r}"
     finite = all(math.isfinite(v) for v in (*k_range, *ksqrtT_range))
     if not (finite and k_hi > k_lo >= 0.0 and y_hi > y_lo >= 0.0):
-        raise ValueError(f"bad {window}")
+        raise ValueError(f"{window} needs finite ranges with 0 <= lo < hi")
     kappas = k_lo + np.arange(1, resolution + 1) * (k_hi - k_lo) / resolution
     ys = y_lo + np.arange(resolution) * (y_hi - y_lo) / (resolution - 1)
     scan_lo = max(k_lo, 1e-3)

@@ -1,12 +1,11 @@
-"""Shared numerical tolerances.
+"""Shared numerical tolerances, and the one statement of each guard on them.
 
-These constants are used across modules so that, e.g., the second-harmonic
-resonance detected by the wave construction coincides with the pole guard of
-the instability index.
+These are used across modules so that, e.g., the second-harmonic resonance
+detected by the wave construction coincides with the pole guard of the
+instability index.
 """
 
-# Relative guard for vanishing resonance denominators.  A quantity d with
-# natural scale s is treated as a pole when |d| < POLE_TOL * (1 + s).
+# Relative guard for vanishing resonance denominators (see near_pole).
 POLE_TOL = 1e-10
 
 # Half-width of the Bond-number band around T = 1/3 on which the index is
@@ -40,3 +39,13 @@ def growth_threshold(amplitude: float) -> float:
     where the flat state has no growth).
     """
     return GROWTH_THRESHOLD * (amplitude / DEFAULT_AMPLITUDE) ** 2
+
+
+def near_pole(d, scale):
+    """True where |d| < POLE_TOL * (1 + scale), d a denominator of natural scale ``scale``."""
+    return abs(d) < POLE_TOL * (1.0 + scale)
+
+
+def on_bond_third(bond):
+    """True where the Bond number lies in the inconclusive band around T = 1/3."""
+    return abs(bond - 1.0 / 3.0) < BOND_THIRD_TOL

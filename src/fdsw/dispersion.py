@@ -127,6 +127,34 @@ def _sample(kappa, bond, m, m1, m2, sqrt) -> DispersionSample:
     )
 
 
+def check_domain(kappa: float | None, bond: float, zero_kappa: bool = False) -> None:
+    """Raise ValueError, naming the value, unless kappa and bond are in the domain.
+
+    That is finite kappa > 0 (>= 0 with ``zero_kappa``; None skips kappa)
+    and finite bond >= 0, in float arithmetic.
+    """
+    if not (
+        kappa is None or (kappa >= 0.0 if zero_kappa else kappa > 0.0) and math.isfinite(kappa)
+    ):
+        sign = "nonnegative" if zero_kappa else "positive"
+        raise ValueError(f"kappa must be finite and {sign}, got {kappa!r}")
+    if not (bond >= 0.0 and math.isfinite(bond)):
+        raise ValueError(f"bond must be finite and nonnegative, got {bond!r}")
+
+
+def _domain_arrays(kappa, bond, zero_kappa: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``kappa`` and ``bond`` as float arrays, each point checked as by :func:`check_domain`."""
+    kappa = np.asarray(kappa, dtype=float)
+    bond = np.asarray(bond, dtype=float)
+    good_kappa = ((kappa >= 0.0) if zero_kappa else (kappa > 0.0)) & np.isfinite(kappa)
+    if not np.all(good_kappa):
+        check_domain(float(kappa[~good_kappa].flat[0]), 0.0, zero_kappa)
+    good_bond = (bond >= 0.0) & np.isfinite(bond)
+    if not np.all(good_bond):
+        check_domain(None, float(bond[~good_bond].flat[0]))
+    return kappa, bond
+
+
 def eval_dispersion(kappa: float, bond: float) -> DispersionSample:
     """Evaluate c(kappa; T) and all derivative quantities.
 
@@ -135,10 +163,7 @@ def eval_dispersion(kappa: float, bond: float) -> DispersionSample:
     kappa : wave number, must be finite and > 0.
     bond : surface-tension coefficient T, must be finite and >= 0.
     """
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
-    if not (bond >= 0.0 and math.isfinite(bond)):
-        raise ValueError(f"bond must be finite and nonnegative, got {bond!r}")
+    check_domain(kappa, bond)
     return _sample(kappa, bond, *_kernel(kappa), math.sqrt)
 
 
@@ -149,12 +174,7 @@ def eval_dispersion_array(kappa, bond) -> DispersionSample:
     without a warning, as the float arithmetic of :func:`eval_dispersion`
     does.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    bond = np.asarray(bond, dtype=float)
-    if not np.all((kappa > 0.0) & np.isfinite(kappa)):
-        raise ValueError("kappa must be finite and positive everywhere")
-    if not np.all((bond >= 0.0) & np.isfinite(bond)):
-        raise ValueError("bond must be finite and nonnegative everywhere")
+    kappa, bond = _domain_arrays(kappa, bond)
     with np.errstate(all="ignore"):
         return _sample(kappa, bond, *_kernel_array(kappa), np.sqrt)
 
@@ -166,10 +186,7 @@ def eval_dispersion_squared(kappa: float, bond: float) -> float:
     extends continuously to 1 (needed when the multiplier acts on the mean
     mode of a periodic function).
     """
-    if not (kappa >= 0.0 and math.isfinite(kappa)):
-        raise ValueError(f"kappa must be finite and nonnegative, got {kappa!r}")
-    if not (bond >= 0.0 and math.isfinite(bond)):
-        raise ValueError(f"bond must be finite and nonnegative, got {bond!r}")
+    check_domain(kappa, bond, zero_kappa=True)
     if kappa == 0.0:
         return 1.0
     m, _, _ = _kernel(kappa)
@@ -182,12 +199,7 @@ def eval_dispersion_squared_array(kappa, bond) -> np.ndarray:
     kappa = 0 maps to 1, as in the scalar form: the series branch of the
     kernel is exact there.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    bond = np.asarray(bond, dtype=float)
-    if not np.all((kappa >= 0.0) & np.isfinite(kappa)):
-        raise ValueError("kappa must be finite and nonnegative everywhere")
-    if not np.all((bond >= 0.0) & np.isfinite(bond)):
-        raise ValueError("bond must be finite and nonnegative everywhere")
+    kappa, bond = _domain_arrays(kappa, bond, zero_kappa=True)
     with np.errstate(all="ignore"):
         m, _, _ = _kernel_array(kappa)
         return (1.0 + bond * kappa * kappa) * m

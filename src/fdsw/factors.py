@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import BOND_THIRD_TOL, POLE_TOL
+from .config import near_pole, on_bond_third
 from .dispersion import DispersionSample, eval_dispersion, eval_dispersion_array
 
 
@@ -63,6 +63,15 @@ class IndexFlag(str, Enum):
     NEAR_POLE_I3 = "NearPoleI3"
     BOND_ONE_THIRD = "BondOneThird"
     OUTSIDE_VALIDITY = "OutsideValidity"
+
+
+# The label precedence: the first flag that is set, in this order, names a
+# point; a point with no flag is U where delta < 0 and S otherwise.
+_FLAG_LABELS = {
+    IndexFlag.BOND_ONE_THIRD: "Inconclusive",
+    IndexFlag.NEAR_POLE_I3: "NearPole",
+    IndexFlag.OUTSIDE_VALIDITY: "OutsideValidity",
+}
 
 
 def _factors(
@@ -196,24 +205,16 @@ class IndexReport:
     @property
     def classification(self) -> str:
         """One of 'S', 'U', 'NearPole', 'Inconclusive', 'OutsideValidity'."""
-        if IndexFlag.BOND_ONE_THIRD in self.flags:
-            return "Inconclusive"
-        if IndexFlag.NEAR_POLE_I3 in self.flags:
-            return "NearPole"
-        if IndexFlag.OUTSIDE_VALIDITY in self.flags:
-            return "OutsideValidity"
+        for flag, label in _FLAG_LABELS.items():
+            if flag in self.flags:
+                return label
         return "U" if self.delta is not None and self.delta < 0.0 else "S"
-
-
-def _on_bond_third(bond):
-    return abs(bond - 1.0 / 3.0) < BOND_THIRD_TOL
 
 
 def _near_pole(i3, s: DispersionSample, branch: Branch):
     # The guard is relative to i3's own scale: c**2 for the full factor,
     # c for the one-sided ones.
-    scale = s.c2 if branch is Branch.FULL else s.c
-    return abs(i3) < POLE_TOL * (1.0 + scale)
+    return near_pole(i3, s.c2 if branch is Branch.FULL else s.c)
 
 
 def index(model: Model, kappa: float, bond: float) -> IndexReport:
@@ -231,7 +232,7 @@ def index(model: Model, kappa: float, bond: float) -> IndexReport:
     i1, i2, i3, i4 = _factors(s, s2, model.branch, model)
 
     flags = set()
-    if _on_bond_third(bond):
+    if on_bond_third(bond):
         flags.add(IndexFlag.BOND_ONE_THIRD)
     if _near_pole(i3, s, model.branch):
         flags.add(IndexFlag.NEAR_POLE_I3)
@@ -252,8 +253,8 @@ def index(model: Model, kappa: float, bond: float) -> IndexReport:
     )
 
 
-_LABELS = np.array(["S", "U", "NearPole", "Inconclusive", "OutsideValidity"], dtype=object)
-_S, _U, _NEAR_POLE, _INCONCLUSIVE, _OUTSIDE_VALIDITY = range(len(_LABELS))
+# index_labels' label codes: the flags' labels in precedence order, then U, then S.
+_LABELS = np.array([*_FLAG_LABELS.values(), "U", "S"], dtype=object)
 
 
 def index_labels(model: Model, kappa, bond) -> np.ndarray:
@@ -266,16 +267,12 @@ def index_labels(model: Model, kappa, bond) -> np.ndarray:
     with np.errstate(all="ignore"):
         i1, i2, i3, i4 = _factors(s, s2, model.branch, model)
         delta = i1 * i2 * i4 / i3
-        # The first condition that holds picks the label, in the precedence
-        # of IndexReport.classification.
-        code = np.select(
-            [
-                _on_bond_third(s.bond),
-                _near_pole(i3, s, model.branch),
-                ~np.isfinite(delta),
-                delta < 0.0,
-            ],
-            [_INCONCLUSIVE, _NEAR_POLE, _OUTSIDE_VALIDITY, _U],
-            default=_S,
-        )
+        flags = {
+            IndexFlag.BOND_ONE_THIRD: on_bond_third(s.bond),
+            IndexFlag.NEAR_POLE_I3: _near_pole(i3, s, model.branch),
+            IndexFlag.OUTSIDE_VALIDITY: ~np.isfinite(delta),
+        }
+        # the first condition that holds picks the label
+        conditions = [flags[flag] for flag in _FLAG_LABELS] + [delta < 0.0]
+        code = np.select(conditions, list(range(len(conditions))), default=len(conditions))
     return _LABELS[code]

@@ -34,12 +34,13 @@ the radius filter ORIGIN_RADIUS_FACTOR instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import SIDEBAND_LADDER
-from .dispersion import eval_dispersion_squared_array
+from .dispersion import check_domain, eval_dispersion_squared_array
 from .stokes import (
     PolishedWave,
     WaveRefinementError,
@@ -96,7 +97,12 @@ class HillProblem:
         return 1j * self.real_matrix
 
 
-def _check_n_modes(n_modes: int) -> None:
+def _check_problem(xis, amplitude: float, kappa: float, bond: float, n_modes: int) -> None:
+    """Raise ValueError, naming the value, unless the problem is well posed."""
+    check_domain(kappa, bond)
+    for name, value in [*(("xi", xi) for xi in xis), ("amplitude", amplitude)]:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not 8 <= n_modes <= MAX_N_MODES:
         raise ValueError(f"n_modes must be in [8, {MAX_N_MODES}], got {n_modes!r}")
 
@@ -182,7 +188,7 @@ def assemble(
     xi: float, amplitude: float, kappa: float, bond: float, n_modes: int
 ) -> HillProblem:
     """Build the Floquet-Bloch matrix at sideband xi about the wave train."""
-    _check_n_modes(n_modes)
+    _check_problem([xi], amplitude, kappa, bond, n_modes)
     wave = polish_wave(wave_train(amplitude, kappa, bond))
     blocks = _SidebandBlocks.build([xi], wave, n_modes)
     return HillProblem(xi=xi, n_modes=n_modes, real_matrix=blocks.dense()[0], wave=wave)
@@ -250,11 +256,11 @@ def _ladder_growth(
     Each sideband takes the growth of its certified quartet, or of the dense
     solve where the quartet is not certified.
     """
+    _check_problem(xis, amplitude, kappa, bond, n_modes)
     # xi = a = 0 is the unperturbed problem, with growth 0
     xis = [xi for xi in xis if abs(xi) + abs(amplitude) != 0.0]
     if not xis:
         return 0.0
-    _check_n_modes(n_modes)
     wave = polish_wave(wave_train(amplitude, kappa, bond))
     blocks = _SidebandBlocks.build(xis, wave, n_modes)
     best = 0.0

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import POLE_TOL
+from .config import near_pole
 from .dispersion import (
     eval_dispersion,
     eval_dispersion_squared,
@@ -59,10 +59,9 @@ def harmonic_coeffs(kappa: float, bond: float) -> tuple[float, float]:
     """Second-order harmonic coefficients (h0, h2) of the wave expansion."""
     s = eval_dispersion(kappa, bond)
     c2k = eval_dispersion_squared(2.0 * kappa, bond)
-    tol = POLE_TOL * (1.0 + s.c2)
-    if abs(s.c2 - 1.0) < tol:
+    if near_pole(s.c2 - 1.0, s.c2):
         raise ResonanceError("mean-flow", kappa, bond)
-    if abs(s.c2 - c2k) < tol:
+    if near_pole(s.c2 - c2k, s.c2):
         raise ResonanceError("second-harmonic", kappa, bond)
     h0 = 0.75 * s.c / (s.c2 - 1.0)
     h2 = 0.75 * s.c / (s.c2 - c2k)
@@ -113,13 +112,9 @@ def check_resonance_admissible(kappa: float, bond: float, n_max: int) -> list[in
         raise ValueError(f"n_max must be >= 2, got {n_max!r}")
     s = eval_dispersion(kappa, bond)
     # c(kappa) - c(n*kappa) has the scale of c, not of c**2
-    tol = POLE_TOL * (1.0 + s.c)
-    hits = []
-    for n in range(2, n_max + 1):
-        cn = eval_dispersion(n * kappa, bond).c
-        if abs(s.c - cn) < tol:
-            hits.append(n)
-    return hits
+    return [
+        n for n in range(2, n_max + 1) if near_pole(s.c - eval_dispersion(n * kappa, bond).c, s.c)
+    ]
 
 
 def _convolution_matrix(f: np.ndarray, modes: int) -> np.ndarray:

@@ -288,6 +288,26 @@ def test_large_T_validates_sequence():
         large_T_limit(Model.FDSW2, (10.0,))
 
 
+@pytest.mark.parametrize("bond", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda T: critical_wavenumber(Model.FDSW2, T),
+        lambda T: classify_intervals(Model.FDSW2, T, 0.05, 30.0),
+        lambda T: large_T_limit(Model.FDSW2, (T,)),
+        lambda T: large_T_limit(Model.FDSW2, (1.0, T)),
+    ],
+    ids=["critical", "intervals", "limit-single", "limit-sequence"],
+)
+def test_bad_bond_rejected_by_value_before_any_scan(monkeypatch, call, bond):
+    def no_scan(*_):
+        raise AssertionError("scanned before the Bond number was checked")
+
+    monkeypatch.setattr(fdsw.analysis, "_factor_roots", no_scan)
+    with pytest.raises(ValueError, match=f"bond must be finite and nonnegative, got {bond!r}"):
+        call(bond)
+
+
 @pytest.mark.parametrize("name", ["conv_tol"])
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
 def test_large_T_rejects_meaningless_tolerances(name, tol):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import fdsw.analysis
+import fdsw.hill
 from fdsw.analysis import MAX_RESOLUTION, find_factor_roots, stability_diagram
 from fdsw.cli import _fmt, main
 from fdsw.factors import Model, index
@@ -306,26 +308,61 @@ def test_degenerate_diagram_windows_exit_2(tmp_path, capsys, args):
     assert not (tmp_path / "t.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("index", "--kappa", "inf"),
-        ("index", "--kappa", "nan"),
-        ("index", "--kappa", "1", "--bond", "inf"),
-        ("critical", "--bond", "nan"),
-        ("diagram", "--kmax", "inf", "--out", "unused.csv"),
-        ("diagram", "--ymax", "-1", "--out", "unused.csv"),
-        ("diagram", "--ymax", "1e200", "--resolution", "2", "--out", "unused.csv"),
-        # the cap is enforced by validation, before any matrix is allocated
-        ("hill", "--xi", "0.01", "--amplitude", "0.01", "--kappa", "1",
-         "--n-modes", str(MAX_N_MODES + 1)),
-    ],
-)
-def test_invalid_inputs_exit_2(capsys, args):
+# Invalid invocations and the offending value each error message names.
+HILL_01 = ("hill", "--xi", "0.01", "--amplitude", "0.01", "--kappa", "1")
+HILL_0 = ("hill", "--xi", "0", "--amplitude", "0")
+INVALID = {
+    ("index", "--kappa", "inf"): "inf",
+    ("index", "--kappa", "nan"): "nan",
+    ("index", "--kappa", "1", "--bond", "inf"): "inf",
+    ("critical", "--bond", "nan"): "nan",
+    ("diagram", "--kmax", "inf", "--out", "unused.csv"): "inf",
+    ("diagram", "--ymax", "-1", "--out", "unused.csv"): "-1.0",
+    ("diagram", "--ymax", "1e200", "--resolution", "2", "--out", "unused.csv"): "1e+200",
+    (*HILL_01, "--n-modes", str(MAX_N_MODES + 1)): str(MAX_N_MODES + 1),
+    ("index", "--kappa", "-1"): "-1.0",
+    ("index", "--kappa", "0"): "0.0",
+    ("index", "--kappa", "1", "--bond", "-1"): "-1.0",
+    ("critical", "--bond", "-1"): "-1.0",
+    ("critical", "--limit", "--bond", "nan"): "nan",
+    ("critical", "--limit", "--bond", "1", "--bond", "nan"): "nan",
+    ("diagram", "--kmax", "nan", "--out", "unused.csv"): "nan",
+    ("diagram", "--kmax", "0", "--out", "unused.csv"): "0.0",
+    ("diagram", "--ymax", "1e200", "--out", "unused.csv"): "1e+200",
+    ("diagram", "--resolution", "1", "--out", "unused.csv"): "1",
+    ("diagram", "--resolution", str(MAX_RESOLUTION + 1), "--out", "unused.csv"): "2001",
+    (*HILL_01, "--n-modes", "7"): "7",
+    # xi = a = 0 has growth 0 without a solve, but its arguments are still checked
+    (*HILL_0, "--kappa", "1", "--n-modes", str(MAX_N_MODES + 1)): str(MAX_N_MODES + 1),
+    (*HILL_0, "--kappa", "1", "--n-modes", "7"): "7",
+    (*HILL_0, "--kappa", "nan"): "nan",
+    (*HILL_0, "--kappa", "1", "--bond", "-1"): "-1.0",
+    ("intervals", "--bond", "0.2", "--k-hi", "inf"): "inf",
+    ("intervals", "--bond", "0.2", "--k-lo", "1e-8"): "1e-08",
+    ("intervals", "--bond", "0.2", "--k-lo", "5", "--k-hi", "2"): "5.0, 2.0",
+    ("intervals", "--bond", "nan"): "nan",
+    ("intervals", "--bond", "-1"): "-1.0",
+}
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("an invalid input reached a grid, a scan or a polish")
+
+
+@pytest.mark.parametrize("args", list(INVALID))
+def test_invalid_inputs_exit_2(capsys, monkeypatch, args):
+    # each is rejected by value before any grid, factor scan or wave polish
+    for module, name in (
+        (fdsw.analysis, "index_labels"),
+        (fdsw.analysis, "_factor_roots"),
+        (fdsw.hill, "polish_wave"),
+    ):
+        monkeypatch.setattr(module, name, _no_work)
     code, out, err = run_cli(capsys, *args)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert INVALID[args] in err
 
 
 def test_index_overflow_is_outside_validity(capsys):

@@ -68,11 +68,12 @@ def test_domain_errors():
         eval_dispersion(1.0, math.inf)
     with pytest.raises(ValueError):
         eval_dispersion_squared(math.inf, 0.0)
-    with pytest.raises(ValueError):
+    # the array check names the first offending value, as the scalar one does
+    with pytest.raises(ValueError, match="kappa must be finite and positive, got inf"):
         eval_dispersion_array(np.array([1.0, math.inf]), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 0.0"):
         eval_dispersion_array(np.array([1.0, 0.0]), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bond must be finite and nonnegative, got -1.0"):
         eval_dispersion_array(1.0, np.array([0.0, -1.0]))
 
 

@@ -130,10 +130,13 @@ def test_near_pole_flag_at_second_harmonic_resonance():
             hi = mid
         else:
             lo, f_lo = mid, f(mid)
-    rep = index(Model.FDSW2, 0.5 * (lo + hi), 0.2)
-    assert IndexFlag.NEAR_POLE_I3 in rep.flags
+    wilton = 0.5 * (lo + hi)
+    rep = index(Model.FDSW2, wilton, 0.2)
+    # the exact set: a merged guard must not also flag OutsideValidity here
+    assert rep.flags == {IndexFlag.NEAR_POLE_I3}
     assert rep.delta is None
     assert rep.classification == "NearPole"
+    assert index_labels(Model.FDSW2, wilton, 0.2) == "NearPole"
 
 
 def _bisect_i3(bond, lo, hi, branch):
@@ -171,8 +174,10 @@ def test_one_sided_pole_guard_keeps_second_harmonic_resonance(model):
 
 def test_bond_one_third_flag():
     rep = index(Model.FDSW2, 1.0, 0.333333333)
-    assert IndexFlag.BOND_ONE_THIRD in rep.flags
+    assert rep.flags == {IndexFlag.BOND_ONE_THIRD}
+    assert math.isfinite(rep.delta)
     assert rep.classification == "Inconclusive"
+    assert index_labels(Model.FDSW2, 1.0, 0.333333333) == "Inconclusive"
     assert IndexFlag.BOND_ONE_THIRD not in index(Model.FDSW2, 1.0, 0.34).flags
 
 
@@ -184,8 +189,10 @@ def test_index_rejects_non_finite_inputs():
 
 def test_overflow_is_outside_validity_not_stable():
     rep = index(Model.FDSW2, 1.0, 1e300)
-    assert IndexFlag.OUTSIDE_VALIDITY in rep.flags
+    assert rep.flags == {IndexFlag.OUTSIDE_VALIDITY}
+    assert math.isnan(rep.delta)
     assert rep.classification == "OutsideValidity"
+    assert index_labels(Model.FDSW2, 1.0, 1e300) == "OutsideValidity"
 
 
 def test_fdsw2_t0_factor_signs_on_grid():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from test_acceptance import probe_points
@@ -128,6 +130,37 @@ def test_n_modes_validation():
     # the cap is checked before anything is allocated
     with pytest.raises(ValueError):
         assemble(0.0, 0.0, 1.0, 0.0, MAX_N_MODES + 1)
+
+
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        # xi = a = 0 has growth 0 without a solve; its arguments are checked all the same
+        (growth_rate, (0.0, 0.0, math.nan, 0.0, 10**6),
+         "kappa must be finite and positive, got nan"),
+        (growth_rate, (0.0, 0.0, 1.0, -5.0, 3), "bond must be finite and nonnegative, got -5.0"),
+        (growth_rate, (0.0, 0.0, 1.0, 0.0, 7), "n_modes must be in [8, 256], got 7"),
+        (growth_rate_band, (0.0, 0.0, 1.0, 0.0, MAX_N_MODES + 1), f"got {MAX_N_MODES + 1}"),
+        (growth_rate, (math.nan, 0.01, 1.0, 0.0, 32), "xi must be finite, got nan"),
+        (growth_rate, (0.01, math.nan, 1.0, 0.0, 32), "amplitude must be finite, got nan"),
+        (growth_rate_band, (math.inf, 0.01, 1.0, 0.0, 32), "xi must be finite, got inf"),
+        (assemble, (0.01, math.inf, 1.0, 0.0, 32), "amplitude must be finite, got inf"),
+    ],
+    ids=["kappa", "bond", "n_modes", "n_modes-band", "xi", "amplitude", "xi-band", "assemble"],
+)
+def test_growth_rate_checks_its_arguments_before_any_polish(monkeypatch, func, args, message):
+    def no_polish(*_):
+        raise AssertionError("polished before the arguments were checked")
+
+    monkeypatch.setattr(fdsw.hill, "polish_wave", no_polish)
+    with pytest.raises(ValueError) as excinfo:
+        func(*args)
+    assert message in str(excinfo.value)
+
+
+def test_unperturbed_growth_is_zero():
+    assert growth_rate(0.0, 0.0, 2.0, 0.0, 32) == 0.0
+    assert growth_rate_band(0.0, 0.0, 2.0, 0.0, 32) == 0.0
 
 
 def test_refinement_failure_is_a_named_arithmetic_error():
