@@ -55,8 +55,9 @@ DIV_INCREMENT = 0.1
 CURVE_SAMPLES = 200
 
 # Points per factor pass of the bisection.  A factor pass on one point costs
-# nearly as much as one on a few hundred, so a few live brackets take
-# several bisection steps per pass (see _bisect).
+# nearly as much as one on a few hundred (about 0.08 against 0.11 ms for 511
+# points, see docs/numerics.md), so a few live brackets take several
+# bisection steps per pass (see _bisect).
 PASS_POINTS = 512
 
 # Default Bond sequence of the large-surface-tension protocol.
@@ -161,25 +162,25 @@ def _pass_depth(n_live: int) -> int:
     return max(1, (PASS_POINTS // n_live + 1).bit_length() - 1)
 
 
-def _subtree_midpoints(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
-    """Every midpoint the next ``depth`` bisection steps of [lo, hi] can visit.
+def _subtree_ends(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
+    """Every end the next ``depth`` bisection steps of [lo, hi] can reach.
 
-    Row i holds the 2**depth - 1 midpoints of bracket i in heap order:
-    column 0 is the first midpoint, and the midpoints of the left and right
-    halves of column c are columns 2c + 1 and 2c + 2.  Each is
-    ``0.5*(lo + hi)`` of the very bracket that step would bisect, so it is
-    bisection's own midpoint bit for bit.
+    Row i holds 2**depth + 1 points in increasing order: column 0 is lo,
+    the last column hi, and the node at column p, with h the lowest set
+    bit of p, is the midpoint ``0.5*(lo + hi)`` of the bracket between
+    columns p - h and p + h, computed from those very ends.  So each
+    interior column is bisection's own midpoint bit for bit: the root of
+    the subtree is column 2**(depth - 1), and the children of node p are
+    p - h/2 and p + h/2.
     """
     ends = np.stack([lo, hi], axis=1)
-    levels = []
     for _ in range(depth):
         mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
-        levels.append(mid)
         finer = np.empty((ends.shape[0], 2 * ends.shape[1] - 1))
         finer[:, ::2] = ends
         finer[:, 1::2] = mid
         ends = finer
-    return np.concatenate(levels, axis=1)
+    return ends
 
 
 def _splittable(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -202,11 +203,16 @@ def _bisect(evaluate, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
 
     A pass evaluates, in one call, every midpoint that the next
     ``_pass_depth(n_live)`` steps of each live bracket could visit (see
-    :func:`_subtree_midpoints`), then takes those steps one at a time from
-    the stored values.  Each step is the plain bisection step: the same
-    midpoint, the same sign test, the same exact-zero rule and the same
-    width test after it.  So the results and the iteration counts, which
-    count steps, not passes, do not depend on the depth.
+    :func:`_subtree_ends`), then decides every node of those subtrees at
+    once.  The left end of node p's bracket is column p - h, the pass's lo
+    or a stored midpoint, so its function value is known before any step
+    is taken.  Each node's step is then the plain bisection step as array
+    expressions over (brackets x nodes): the same sign test of f_lo*f_mid,
+    the same exact-zero rule and the same width test of the half it keeps.
+    A walk of ``depth - 1`` gathers through the resulting next-node table
+    follows each bracket down to the node where it stops, and the pass
+    writes that node's bracket back.  So the results and the iteration
+    counts, which count steps, not passes, do not depend on the depth.
     """
     lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
     root = np.empty_like(lo)
@@ -215,26 +221,45 @@ def _bisect(evaluate, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
     active = np.nonzero(_splittable(lo, hi))[0]
     while active.size:
         depth = _pass_depth(active.size)
-        mids = _subtree_midpoints(lo[active], hi[active], depth)
-        values = evaluate(mids.ravel(), np.repeat(active, mids.shape[1])).reshape(mids.shape)
-        rows, node = np.arange(active.size), np.zeros(active.size, dtype=int)
-        for _ in range(depth):
-            mid, f_mid = mids[rows, node], values[rows, node]
-            iterations[active] += 1
-            exact = f_mid == 0.0
-            with np.errstate(all="ignore"):
-                left = ~exact & (f_lo[active] * f_mid < 0.0)
-            right = ~exact & ~left
-            hi[active[left]] = mid[left]
-            lo[active[right]] = mid[right]
-            f_lo[active[right]] = f_mid[right]
-            done = active[exact]
-            hit[done] = True
-            root[done] = mid[exact]
-            lo[done] = mid[exact] - 0.5 * ROOT_TOL
-            hi[done] = mid[exact] + 0.5 * ROOT_TOL
-            keep = ~exact & _splittable(lo[active], hi[active])
-            active, rows, node = active[keep], rows[keep], 2 * node[keep] + 1 + right[keep]
+        ends = _subtree_ends(lo[active], hi[active], depth)
+        mid = ends[:, 1:-1]
+        f_mid = evaluate(mid.ravel(), np.repeat(active, mid.shape[1])).reshape(mid.shape)
+        # f at every end but hi; node p (column 1 .. 2**depth - 1), with h the
+        # lowest set bit of p, bisects [p - h, p + h] in step depth - log2(h)
+        f = np.concatenate([f_lo[active, None], f_mid], axis=1)
+        p = np.arange(f.shape[1])
+        h = p & -p
+        exact = f == 0.0
+        with np.errstate(all="ignore"):
+            left = ~exact & (f[:, p - h] * f < 0.0)
+        go_on = ~exact & np.where(
+            left, _splittable(ends[:, p - h], ends[:, p]), _splittable(ends[:, p], ends[:, p + h])
+        )
+        # every node's next node: the child the step keeps, or the node itself
+        # where the bracket stops or the subtree ends (h = 1); column 0 is lo,
+        # no node, and the walk never reaches it
+        rows = np.arange(active.size)
+        base = rows * f.shape[1]
+        step_to = np.where(go_on, np.where(left, p - h // 2, p + h // 2), p)
+        step_to = (step_to + base[:, None]).ravel()
+        node = base + f.shape[1] // 2
+        for _ in range(depth - 1):
+            node = step_to[node]
+        node -= base
+        # write back the half each bracket kept at its last node
+        half, went_left = h[node], left[rows, node]
+        iterations[active] += depth - np.log2(half).astype(int)
+        kept_lo = np.where(went_left, node - half, node)
+        lo[active] = ends[rows, kept_lo]
+        hi[active] = ends[rows, np.where(went_left, node, node + half)]
+        f_lo[active] = f[rows, kept_lo]
+        zero = exact[rows, node]
+        done, root_at = active[zero], ends[rows[zero], node[zero]]
+        hit[done] = True
+        root[done] = root_at
+        lo[done] = root_at - 0.5 * ROOT_TOL
+        hi[done] = root_at + 0.5 * ROOT_TOL
+        active = active[go_on[rows, node]]
     root[~hit] = 0.5 * (lo[~hit] + hi[~hit])
     return root, lo, hi, iterations
 

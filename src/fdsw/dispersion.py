@@ -28,13 +28,16 @@ floats and numpy arrays alike.  :func:`eval_dispersion` evaluates one point
 with ``math``; :func:`eval_dispersion_array` evaluates whole arrays with
 ``np.tanh``/``np.sqrt`` and picks the series branch per element; likewise
 :func:`eval_dispersion_squared` and :func:`eval_dispersion_squared_array`
-for the Fourier-multiplier symbol alone.
+for the Fourier-multiplier symbol alone, and :func:`eval_speed` and
+:func:`eval_speed_array` for c and c**2 alone (what the index reads at the
+second harmonic 2*k).  These compute m = tanh(k)/k without its derivatives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +51,18 @@ _S6 = -17.0 / 315.0
 _S8 = 62.0 / 2835.0
 
 
+def _ratio_series(kappa):
+    x2 = kappa * kappa
+    return 1.0 + x2 * (_S2 + x2 * (_S4 + x2 * (_S6 + x2 * _S8)))
+
+
+def _ratio_direct(kappa, tanh=math.tanh):
+    return tanh(kappa) / kappa
+
+
 def _kernel_series(kappa):
     x2 = kappa * kappa
-    m = 1.0 + x2 * (_S2 + x2 * (_S4 + x2 * (_S6 + x2 * _S8)))
+    m = _ratio_series(kappa)
     m1 = kappa * (2.0 * _S2 + x2 * (4.0 * _S4 + x2 * (6.0 * _S6 + x2 * (8.0 * _S8))))
     m2 = 2.0 * _S2 + x2 * (12.0 * _S4 + x2 * (30.0 * _S6 + x2 * (56.0 * _S8)))
     return m, m1, m2
@@ -65,21 +77,29 @@ def _kernel_direct(kappa, tanh=math.tanh):
     return m, m1, m2
 
 
-def _kernel(kappa: float) -> tuple[float, float, float]:
-    """tanh(k)/k and its first two derivatives."""
+def _pick(kappa: float, series, direct):
+    """``series(kappa)`` below SERIES_KAPPA_THRESHOLD, else ``direct(kappa)``.
+
+    ``series`` and ``direct`` are the kernel's branches (m, m', m'') or the
+    ratio's (m alone).
+    """
     if kappa < SERIES_KAPPA_THRESHOLD:
-        return _kernel_series(kappa)
-    return _kernel_direct(kappa)
+        return series(kappa)
+    return direct(kappa)
 
 
-def _kernel_array(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_kernel` on every element of an array."""
-    # Both branches run on every element; the one not picked may overflow
-    # (series at large kappa) or divide by an underflowed kappa**3 (direct).
-    series = _kernel_series(kappa)
-    direct = _kernel_direct(kappa, np.tanh)
+def _pick_array(kappa: np.ndarray, series, direct):
+    """:func:`_pick` on every element of an array.
+
+    The direct branch always runs and may divide by an underflowed kappa**3
+    at small elements; the series branch, which overflows at large kappa,
+    runs only if some element takes it.
+    """
+    picked = direct(kappa, np.tanh)
     small = kappa < SERIES_KAPPA_THRESHOLD
-    return tuple(np.where(small, a, b) for a, b in zip(series, direct))
+    if small.any():
+        picked = np.where(small, series(kappa), picked)
+    return picked
 
 
 @dataclass(frozen=True)
@@ -107,19 +127,31 @@ class DispersionSample:
     dcg: float
 
 
-def _sample(kappa, bond, m, m1, m2, sqrt) -> DispersionSample:
+class PhaseSpeed(NamedTuple):
+    """The fields c and c2 of a :class:`DispersionSample` alone."""
+
+    c: float
+    c2: float
+
+
+def _speed(kappa, bond, m, sqrt) -> tuple:
+    """(q, c, c2): q = 1 + T*kappa**2, c = sqrt(q*m) and c2 = c*c."""
     q = 1.0 + bond * kappa * kappa
-    c2 = q * m
+    c = sqrt(q * m)
+    return q, c, c * c
+
+
+def _sample(kappa, bond, m, m1, m2, sqrt) -> DispersionSample:
+    q, c, c2 = _speed(kappa, bond, m, sqrt)
     dc2 = 2.0 * bond * kappa * m + q * m1
     d2c2 = 2.0 * bond * m + 4.0 * bond * kappa * m1 + q * m2
-    c = sqrt(c2)
     dc = dc2 / (2.0 * c)
     d2c = (d2c2 - 2.0 * dc * dc) / (2.0 * c)
     return DispersionSample(
         kappa=kappa,
         bond=bond,
         c=c,
-        c2=c * c,
+        c2=c2,
         dc=dc,
         d2c=d2c,
         cg=c + kappa * dc,
@@ -147,10 +179,10 @@ def _domain_arrays(kappa, bond, zero_kappa: bool = False) -> tuple[np.ndarray, n
     kappa = np.asarray(kappa, dtype=float)
     bond = np.asarray(bond, dtype=float)
     good_kappa = ((kappa >= 0.0) if zero_kappa else (kappa > 0.0)) & np.isfinite(kappa)
-    if not np.all(good_kappa):
+    if not good_kappa.all():
         check_domain(float(kappa[~good_kappa].flat[0]), 0.0, zero_kappa)
     good_bond = (bond >= 0.0) & np.isfinite(bond)
-    if not np.all(good_bond):
+    if not good_bond.all():
         check_domain(None, float(bond[~good_bond].flat[0]))
     return kappa, bond
 
@@ -164,7 +196,7 @@ def eval_dispersion(kappa: float, bond: float) -> DispersionSample:
     bond : surface-tension coefficient T, must be finite and >= 0.
     """
     check_domain(kappa, bond)
-    return _sample(kappa, bond, *_kernel(kappa), math.sqrt)
+    return _sample(kappa, bond, *_pick(kappa, _kernel_series, _kernel_direct), math.sqrt)
 
 
 def eval_dispersion_array(kappa, bond) -> DispersionSample:
@@ -176,7 +208,26 @@ def eval_dispersion_array(kappa, bond) -> DispersionSample:
     """
     kappa, bond = _domain_arrays(kappa, bond)
     with np.errstate(all="ignore"):
-        return _sample(kappa, bond, *_kernel_array(kappa), np.sqrt)
+        kernel = _pick_array(kappa, _kernel_series, _kernel_direct)
+        return _sample(kappa, bond, *kernel, np.sqrt)
+
+
+def eval_speed(kappa: float, bond: float) -> PhaseSpeed:
+    """c and c2 of :func:`eval_dispersion` alone, bit for bit.
+
+    The index reads only these at the second harmonic 2*kappa.
+    """
+    check_domain(kappa, bond)
+    m = _pick(kappa, _ratio_series, _ratio_direct)
+    return PhaseSpeed(*_speed(kappa, bond, m, math.sqrt)[1:])
+
+
+def eval_speed_array(kappa, bond) -> PhaseSpeed:
+    """c and c2 of :func:`eval_dispersion_array` alone, bit for bit."""
+    kappa, bond = _domain_arrays(kappa, bond)
+    with np.errstate(all="ignore"):
+        m = _pick_array(kappa, _ratio_series, _ratio_direct)
+        return PhaseSpeed(*_speed(kappa, bond, m, np.sqrt)[1:])
 
 
 def eval_dispersion_squared(kappa: float, bond: float) -> float:
@@ -189,8 +240,7 @@ def eval_dispersion_squared(kappa: float, bond: float) -> float:
     check_domain(kappa, bond, zero_kappa=True)
     if kappa == 0.0:
         return 1.0
-    m, _, _ = _kernel(kappa)
-    return (1.0 + bond * kappa * kappa) * m
+    return (1.0 + bond * kappa * kappa) * _pick(kappa, _ratio_series, _ratio_direct)
 
 
 def eval_dispersion_squared_array(kappa, bond) -> np.ndarray:
@@ -201,5 +251,4 @@ def eval_dispersion_squared_array(kappa, bond) -> np.ndarray:
     """
     kappa, bond = _domain_arrays(kappa, bond, zero_kappa=True)
     with np.errstate(all="ignore"):
-        m, _, _ = _kernel_array(kappa)
-        return (1.0 + bond * kappa * kappa) * m
+        return (1.0 + bond * kappa * kappa) * _pick_array(kappa, _ratio_series, _ratio_direct)

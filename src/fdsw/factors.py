@@ -32,7 +32,14 @@ from enum import Enum
 import numpy as np
 
 from .config import near_pole, on_bond_third
-from .dispersion import DispersionSample, eval_dispersion, eval_dispersion_array
+from .dispersion import (
+    DispersionSample,
+    PhaseSpeed,
+    eval_dispersion,
+    eval_dispersion_array,
+    eval_speed,
+    eval_speed_array,
+)
 
 
 class Model(str, Enum):
@@ -75,12 +82,13 @@ _FLAG_LABELS = {
 
 
 def _factors(
-    s: DispersionSample, s2: DispersionSample, branch: Branch, model: Model | None = None
+    s: DispersionSample, s2: PhaseSpeed, branch: Branch, model: Model | None = None
 ) -> tuple:
-    """(i1, i2, i3, i4) from the samples at kappa and 2*kappa.
+    """(i1, i2, i3, i4) from the sample at kappa and the speed at 2*kappa.
 
-    i2 and i3 are taken on ``branch``; i4 is None without a model.  Works
-    on float and array samples alike.
+    i2 and i3 are taken on ``branch``, which must be the model's branch when
+    a model is given: i4 is built from them.  i4 is None without a model.
+    Works on float and array samples alike.
     """
     if branch is Branch.FULL:
         i2 = s.cg * s.cg - 1.0
@@ -91,17 +99,21 @@ def _factors(
     else:
         i2 = s.cg + 1.0
         i3 = s.c + s2.c
-    i4 = None if model is None else _I4[model](s, s2)
+    i4 = None if model is None else _I4[model](s, s2, i2, i3)
     return s.dcg, i2, i3, i4
 
 
-def _samples(kappa: float, bond: float) -> tuple[DispersionSample, DispersionSample]:
-    return eval_dispersion(kappa, bond), eval_dispersion(2.0 * kappa, bond)
+# The factors read only c and c2 at the second harmonic 2*kappa.
+def _samples(kappa: float, bond: float) -> tuple[DispersionSample, PhaseSpeed]:
+    return eval_dispersion(kappa, bond), eval_speed(2.0 * kappa, bond)
 
 
-def _array_samples(kappa, bond) -> tuple[DispersionSample, DispersionSample]:
+def _array_samples(kappa, bond) -> tuple[DispersionSample, PhaseSpeed]:
     kappa = np.asarray(kappa, dtype=float)
-    return eval_dispersion_array(kappa, bond), eval_dispersion_array(2.0 * kappa, bond)
+    # above DBL_MAX/2 the doubled kappa is inf, which the domain check rejects
+    with np.errstate(over="ignore"):
+        kappa2 = 2.0 * kappa
+    return eval_dispersion_array(kappa, bond), eval_speed_array(kappa2, bond)
 
 
 def factor_i1(kappa: float, bond: float) -> float:
@@ -119,16 +131,15 @@ def factor_i3(kappa: float, bond: float, branch: Branch = Branch.FULL) -> float:
     return _factors(*_samples(kappa, bond), Branch(branch))[2]
 
 
-def _i4_fdsw2(s: DispersionSample, s2: DispersionSample) -> float:
+# Each i4 takes the samples and the model's own i2 and i3 from _factors.
+def _i4_fdsw2(s: DispersionSample, s2: PhaseSpeed, i2, i3) -> float:
     k = s.kappa
-    i2 = s.cg * s.cg - 1.0
-    i3 = s.c2 - s2.c2
     return 9.0 * s.c2 * i2 + i3 * (
         3.0 + 15.0 * s.c2 + 6.0 * k * s.c * s.dc - k * k * s.dc * s.dc
     )
 
 
-def _i4_fdsw1(s: DispersionSample, s2: DispersionSample) -> float:
+def _i4_fdsw1(s: DispersionSample, s2: PhaseSpeed, i2, i3) -> float:
     # Coefficients cross-validated against a direct Floquet-Bloch computation
     # for this system: unique sign change at kappa = 1.610 for T = 0 and
     # scaled threshold kappa_c(T)*sqrt(T) -> 1.054 as T -> infinity.
@@ -143,16 +154,12 @@ def _i4_fdsw1(s: DispersionSample, s2: DispersionSample) -> float:
     )
 
 
-def _i4_whitham(s: DispersionSample, s2: DispersionSample) -> float:
-    i2m = s.cg - 1.0
-    i3m = s.c - s2.c
+def _i4_whitham(s: DispersionSample, s2: PhaseSpeed, i2m, i3m) -> float:
     return 2.0 * i3m + i2m
 
 
-def _i4_fdch(s: DispersionSample, s2: DispersionSample) -> float:
+def _i4_fdch(s: DispersionSample, s2: PhaseSpeed, i2m, i3m) -> float:
     k = s.kappa
-    i2m = s.cg - 1.0
-    i3m = s.c - s2.c
     k2 = k * k
     return (
         3.0 * i2m
@@ -173,7 +180,8 @@ _I4 = {
 
 def factor_i4(model: Model, kappa: float, bond: float) -> float:
     """The nonlinearity factor of the index for the given model."""
-    return _I4[Model(model)](*_samples(kappa, bond))
+    model = Model(model)
+    return _factors(*_samples(kappa, bond), model.branch, model)[3]
 
 
 def factor_arrays(model: Model, kappa, bond) -> tuple[np.ndarray, ...]:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdsw.analysis
 from fdsw.analysis import (
@@ -136,11 +138,28 @@ def _reference_bisect(evaluate, lo, hi, f_lo):
     return root, lo, hi, iterations
 
 
+def _passes_for(iterations):
+    """Factor passes a bisection needs when each pass takes every step its depth allows."""
+    steps_left, passes = iterations.copy(), 0
+    while (steps_left > 0).any():
+        live = steps_left > 0
+        steps_left[live] -= fdsw.analysis._pass_depth(int(live.sum()))
+        passes += 1
+    return passes
+
+
 def _assert_bisect_matches_reference(evaluate, lo, hi, f_lo):
-    got = fdsw.analysis._bisect(evaluate, lo, hi, f_lo)
+    passes = []
+
+    def counting(kappa, sel):
+        passes.append(None)
+        return evaluate(kappa, sel)
+
+    got = fdsw.analysis._bisect(counting, lo, hi, f_lo)
     want = _reference_bisect(evaluate, lo, hi, f_lo)
     for name, g, w in zip(("root", "lo", "hi", "iterations"), got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+    assert len(passes) == _passes_for(want[3])
 
 
 def _captured_bisect_calls(monkeypatch, run):
@@ -213,6 +232,63 @@ def test_bisect_brackets_of_unequal_width_stop_at_different_steps():
     assert fdsw.analysis._pass_depth(3) > 6
 
 
+# f(k) = scale*(k - r) on each bracket.  A finite scale with r a midpoint of
+# the bracket's subtree puts an exact zero there; 1e-200 makes f_lo*f_mid
+# underflow to +-0.0 (a step to the right); nan and +-inf scales give nan
+# and +-inf values.
+_SCALES = (1.0, -1.0, 3e5, 1e-200, -1e-200, 1e200, math.nan, math.inf, -math.inf)
+_F_LO_OVERRIDES = (0.0, -0.0, 1e-200, -1e-200, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _bisect_problems(draw):
+    n = draw(st.sampled_from([1, 2, 3, 64, 300, 600]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # kappa below 2**19, where one-step bisection stops at ROOT_TOL
+    lo = 10.0 ** rng.uniform(-4.0, 5.0, n)
+    hi = lo + 10.0 ** rng.uniform(-11.0, 5.0, n) * np.minimum(1.0, lo)
+    where = rng.uniform(-0.2, 1.2, n)
+    r = lo + where * (hi - lo)
+    # a zero at a node d steps down the subtree, d = 0 .. 12
+    for i in np.nonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0])))[0]:
+        a, b = lo[i], hi[i]
+        for _ in range(rng.integers(0, 13)):
+            mid = 0.5 * (a + b)
+            a, b = (a, mid) if rng.random() < 0.5 else (mid, b)
+        r[i] = 0.5 * (a + b)
+    scales = draw(st.lists(st.sampled_from(_SCALES), min_size=1, max_size=3))
+    scale = rng.choice(np.array(scales), n)
+
+    def evaluate(kappa, sel):
+        with np.errstate(all="ignore"):
+            return scale[sel] * (kappa - r[sel])
+
+    f_lo = evaluate(lo, np.arange(n))
+    overrides = draw(st.lists(st.sampled_from(_F_LO_OVERRIDES), max_size=3))
+    for value, i in zip(overrides, rng.integers(0, n, len(overrides))):
+        f_lo[i] = value
+    return evaluate, lo, hi, f_lo
+
+
+@given(problem=_bisect_problems())
+@settings(max_examples=40, deadline=None)
+def test_bisect_matches_one_step_reference_property(problem):
+    _assert_bisect_matches_reference(*problem)
+
+
+def test_bisect_underflowed_product_steps_right():
+    # f_lo*f_mid = 1e-200 * -1e-200 is -0.0, not < 0: the step goes right
+    # although f changes sign, as in one-step bisection
+    lo, hi = np.array([1.0]), np.array([2.0])
+
+    def evaluate(kappa, sel):
+        return np.where(kappa < 1.25, 1e-200, -1e-200)
+
+    _assert_bisect_matches_reference(evaluate, lo, hi, evaluate(lo, None))
+    _, lo_out, hi_out, _ = fdsw.analysis._bisect(evaluate, lo, hi, evaluate(lo, None))
+    assert hi_out[0] == 2.0 and lo_out[0] > 2.0 - 1e-9
+
+
 def test_critical_wavenumber_bisects_several_steps_per_factor_pass(monkeypatch):
     passes = []
     real = fdsw.analysis.factor_arrays
@@ -250,6 +326,45 @@ def test_critical_wavenumbers_at_t0(model, expected):
     from fdsw.factors import factor_i4
 
     assert factor_i4(model, result.bracket[0], 0.0) * factor_i4(model, result.bracket[1], 0.0) <= 0.0
+
+
+# kappa_c and its bracket (float.hex) and the step count at each (model, T):
+# a change to the bisection or to the factor arithmetic that moves one bit
+# of a threshold fails here.
+FROZEN_CRITICAL = [
+    ('whitham', 0.0, '0x1.2562a840cc99ep+0', '0x1.2562a840adda3p+0', '0x1.2562a840eb59ap+0', 27),
+    ('whitham', 0.05, '0x1.03fadf5a54769p+0', '0x1.03fadf5a1dd1ap+0', '0x1.03fadf5a8b1b8p+0', 26),
+    ('whitham', 0.2, '0x1.70627f6e44debp-1', '0x1.70627f6df7b1ep-1', '0x1.70627f6e920b8p-1', 26),
+    ('whitham', 0.5, '0x1.dd19578123aeap+1', '0x1.dd1957810a9ffp+1', '0x1.dd1957813cbd4p+1', 28),
+    ('whitham', 3.0, '0x1.ac34b33b52c6ap-1', '0x1.ac34b33af905fp-1', '0x1.ac34b33bac874p-1', 26),
+    ('whitham', 300.0, '0x1.5905d6ba22e91p-2', '0x1.5905d6b991ce4p-2', '0x1.5905d6bab403ep-2', 25),
+    ('fdch', 0.0, '0x1.6b9d76d5fd28ep+0', '0x1.6b9d76d5d6f91p+0', '0x1.6b9d76d62358ap+0', 27),
+    ('fdch', 0.05, '0x1.667170706a198p+0', '0x1.6671707044693p+0', '0x1.667170708fc9cp+0', 27),
+    ('fdch', 0.2, '0x1.3eec85ee63232p+0', '0x1.3eec85ee41a62p+0', '0x1.3eec85ee84a02p+0', 27),
+    ('fdch', 0.5, '0x1.6afbb2fc0f718p+0', '0x1.6afbb2fbe941cp+0', '0x1.6afbb2fc35a15p+0', 27),
+    ('fdch', 3.0, '0x1.44ad1e5046aeap+0', '0x1.44ad1e5024872p+0', '0x1.44ad1e5068d62p+0', 27),
+    ('fdch', 300.0, '0x1.304181584c97cp-4', '0x1.304181564b9f6p-4', '0x1.3041815a4d903p-4', 23),
+    ('fdsw1', 0.0, '0x1.9c1cf8978c912p+0', '0x1.9c1cf897614edp+0', '0x1.9c1cf897b7d38p+0', 27),
+    ('fdsw1', 0.05, '0x1.2b6b61ed960fcp+0', '0x1.2b6b61ed76b38p+0', '0x1.2b6b61edb56c1p+0', 27),
+    ('fdsw1', 0.2, '0x1.7829518d36269p-1', '0x1.7829518ce6ec2p-1', '0x1.7829518d85610p-1', 26),
+    ('fdsw1', 0.5, '0x1.0c8f7345e8a13p+1', '0x1.0c8f7345da914p+1', '0x1.0c8f7345f6b12p+1', 28),
+    ('fdsw1', 3.0, '0x1.0c1912a3d02d9p-1', '0x1.0c1912a397dcap-1', '0x1.0c1912a4087e8p-1', 26),
+    ('fdsw1', 300.0, '0x1.f104b682c792dp-5', '0x1.f104b67c3d808p-5', '0x1.f104b68951a52p-5', 22),
+    ('fdsw2', 0.0, '0x1.01f50b9cd302cp+0', '0x1.01f50b9c9cb95p+0', '0x1.01f50b9d094c2p+0', 26),
+    ('fdsw2', 0.05, '0x1.e2bd004531dc7p-1', '0x1.e2bd0044cc2fap-1', '0x1.e2bd004597894p-1', 26),
+    ('fdsw2', 0.2, '0x1.6bfd83fe7bb46p-1', '0x1.6bfd83fe2f08ep-1', '0x1.6bfd83fec85ffp-1', 26),
+    ('fdsw2', 0.5, '0x1.1b943a093665ep+3', '0x1.1b943a0932ac4p+3', '0x1.1b943a093a1f8p+3', 30),
+    ('fdsw2', 3.0, '0x1.4f830ecd0a5eep+0', '0x1.4f830ecce713ap+0', '0x1.4f830ecd2daa2p+0', 27),
+    ('fdsw2', 300.0, '0x1.1362893617e98p+0', '0x1.13628935faed5p+0', '0x1.1362893634e5ap+0', 27),
+]
+
+
+@pytest.mark.parametrize("model,bond,kappa_c,lo,hi,iterations", FROZEN_CRITICAL)
+def test_critical_wavenumber_frozen_bits(model, bond, kappa_c, lo, hi, iterations):
+    result = critical_wavenumber(Model(model), bond)
+    assert result.kappa_c.hex() == kappa_c
+    assert tuple(x.hex() for x in result.bracket) == (lo, hi)
+    assert result.iterations == iterations
 
 
 def test_critical_wavenumber_rejects_bond_third():

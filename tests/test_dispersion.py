@@ -14,6 +14,8 @@ from fdsw.dispersion import (
     eval_dispersion_array,
     eval_dispersion_squared,
     eval_dispersion_squared_array,
+    eval_speed,
+    eval_speed_array,
 )
 
 # mpmath (50 digits) reference values
@@ -94,6 +96,39 @@ def test_array_kernel_matches_scalar():
                     assert got == want, (name, kappa, bond)
                 else:
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (name, kappa, bond)
+
+
+_BELOW = np.geomspace(1e-6, SERIES_KAPPA_THRESHOLD / 2 * (1 - 1e-12), 37)
+_ABOVE = np.geomspace(SERIES_KAPPA_THRESHOLD / 2, 1e5, 37)
+
+
+@pytest.mark.parametrize(
+    "kappa",
+    [_BELOW, _ABOVE, np.concatenate([_BELOW, _ABOVE])],
+    ids=["series", "direct", "straddling"],
+)
+def test_speed_is_dispersion_c_and_c2_bit_for_bit(kappa):
+    # the index reads c and c2 at 2*kappa from the speed alone; arrays
+    # entirely below the series threshold, entirely above it, and both
+    kappa2 = 2.0 * kappa
+    bonds = np.array([0.0, 1e-3, 1.0 / 3.0, 2.0, 1e4])
+    speed = eval_speed_array(kappa2[:, None], bonds[None, :])
+    sample = eval_dispersion_array(kappa2[:, None], bonds[None, :])
+    assert speed.c.tobytes() == sample.c.tobytes()
+    assert speed.c2.tobytes() == sample.c2.tobytes()
+    for k in kappa2.tolist():
+        for bond in bonds.tolist():
+            want = eval_dispersion(k, bond)
+            assert eval_speed(k, bond) == (want.c, want.c2), (k, bond)
+
+
+def test_speed_domain_errors():
+    with pytest.raises(ValueError, match="kappa must be finite and positive, got inf"):
+        eval_speed(math.inf, 0.0)
+    with pytest.raises(ValueError, match="kappa must be finite and positive, got inf"):
+        eval_speed_array(np.array([1.0, math.inf]), 0.0)
+    with pytest.raises(ValueError, match="bond must be finite and nonnegative, got -1.0"):
+        eval_speed_array(1.0, np.array([0.0, -1.0]))
 
 
 def test_array_symbol_matches_scalar():

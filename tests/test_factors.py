@@ -8,6 +8,7 @@ from fdsw.factors import (
     Branch,
     IndexFlag,
     Model,
+    factor_arrays,
     factor_i1,
     factor_i2,
     factor_i3,
@@ -201,3 +202,15 @@ def test_fdsw2_t0_factor_signs_on_grid():
         assert factor_i1(kappa, 0.0) < 0.0
         assert factor_i2(kappa, 0.0) < 0.0
         assert factor_i3(kappa, 0.0) > 0.0
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_doubled_kappa_overflow_is_a_domain_error(model):
+    # above DBL_MAX/2 the second harmonic 2*kappa is inf: the same
+    # ValueError on the scalar and the array path, and no overflow warning
+    message = "kappa must be finite and positive, got inf"
+    for call in (index, index_labels, factor_arrays):
+        with pytest.raises(ValueError, match=message):
+            call(model, 1e308, 0.0)
+    with pytest.raises(ValueError, match=message):
+        factor_i4(model, 1e308, 0.0)
