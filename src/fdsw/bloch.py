@@ -8,10 +8,10 @@ phi_1..phi_4), the eigenvalue problem becomes the pencil
 
     det(L(xi, a) - lambda * I(xi, a)) = 0
 
-with explicit 4x4 matrices assembled below through orders xi^2 and a (the
-O(xi^3 + xi^2 a + a^2) remainder is dropped).  Substituting lambda = i*xi*X
-and testing the quartic's roots X for nonreal values classifies modulational
-instability at small (xi, a).
+with explicit 4x4 matrices written order by order in (xi, a) through xi^2
+and a (the O(xi^3 + xi^2 a + a^2) remainder is dropped).  Its roots are the
+eigenvalues of I^-1 L, with no polynomial in between; with lambda = i*xi*X, a
+nonreal root X at some sideband classifies modulational instability.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .config import CLASSIFY_TOL, SIDEBAND_LADDER
-from .dispersion import eval_dispersion
+from .dispersion import check_finite, eval_dispersion
 from .stokes import harmonic_coeffs
 
 #: Order of the trigonometric basis used for the eigenfunctions:
@@ -36,7 +36,7 @@ class Stability(str, Enum):
 
 
 class DegenerateQuarticError(ArithmeticError):
-    """The quartic's leading coefficient vanished; roots are meaningless."""
+    """I(xi) cannot be inverted, or a root of det(L - lambda*I) is not finite."""
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,14 @@ class EigenBasis:
 
 @dataclass(frozen=True)
 class BlochMatrices:
-    """The pencil (L, I) and the coefficients of det(L - lambda*I)."""
+    """The pencil (L, I) at one sideband xi, or at each of an array of them."""
 
-    xi: float
+    xi: float | np.ndarray
     amplitude: float
     kappa: float
     bond: float
-    Lmat: np.ndarray  # 4x4 complex
-    Imat: np.ndarray  # 4x4 complex
-    quartic: np.ndarray  # 5 complex coefficients, ascending powers of lambda
+    Lmat: np.ndarray  # complex, (4, 4), or (sidebands, 4, 4) for an array of xi
+    Imat: np.ndarray  # likewise
 
 
 def eigenbasis(xi: float, amplitude: float, kappa: float, bond: float) -> EigenBasis:
@@ -110,34 +109,24 @@ def eigenbasis(xi: float, amplitude: float, kappa: float, bond: float) -> EigenB
     return EigenBasis(xi=xi, amplitude=amplitude, kappa=kappa, bond=bond, coeffs=phi, p2=p2)
 
 
-def _pencil_determinant(L: np.ndarray, I: np.ndarray) -> np.ndarray:
-    """Coefficients of det(L - lambda*I), ascending in lambda (length 5).
+def pencil_orders(kappa: float, bond: float) -> tuple[dict, dict]:
+    """The pencil order by order in (xi, a).
 
-    det(L - lambda*I) = det(I) * det(I^-1 L - lambda), and for a 4x4 matrix
-    det(A - lambda) is the characteristic polynomial np.poly(A).
+    (L, I), each a dict from (i, j) to the 4x4 coefficient matrix of xi^i a^j.
     """
-    quartic = np.linalg.det(I) * np.poly(np.linalg.solve(I, L))
-    return np.asarray(quartic[::-1], dtype=complex)
-
-
-def build_matrices(xi: float, amplitude: float, kappa: float, bond: float) -> BlochMatrices:
-    """Assemble L(xi, a), I(xi, a) and the quartic det(L - lambda*I)."""
     s = eval_dispersion(kappa, bond)
     _, h2 = harmonic_coeffs(kappa, bond)
     c, c2, cp, cpp = s.c, s.c2, s.dc, s.d2c
-    a = amplitude
     q = 4.0 * c2 + 1.0
+    L_a, L_xi, L_xia, L_xi2, I_a, I_xia = np.zeros((6, 4, 4), dtype=complex)
 
-    Lmat = np.zeros((4, 4), dtype=complex)
     # O(a): nonlinear coupling of the sin-z mode into the mean modes
-    Lmat[3, 1] += 0.25 * a * (c2 + 1.0)
+    L_a[3, 1] = 0.25 * (c2 + 1.0)
     # O(xi): transport of the four modes
-    Lmat[0, 0] += 1j * xi * (-kappa * cp)
-    Lmat[1, 1] += 1j * xi * (-kappa * cp)
-    Lmat[2, 2] += 1j * xi * c * (4.0 * c2 + 5.0) / q
-    Lmat[2, 3] += 1j * xi * (-(4.0 * c2 - 1.0) / q)
-    Lmat[3, 2] += 1j * xi * (-(4.0 * c2 - 1.0) / q)
-    Lmat[3, 3] += 1j * xi * c * (4.0 * c2 - 3.0) / q
+    L_xi[0, 0] = L_xi[1, 1] = -1j * kappa * cp
+    L_xi[2, 2] = 1j * c * (4.0 * c2 + 5.0) / q
+    L_xi[2, 3] = L_xi[3, 2] = -1j * (4.0 * c2 - 1.0) / q
+    L_xi[3, 3] = 1j * c * (4.0 * c2 - 3.0) / q
     # O(xi*a): cross couplings
     big_l = (
         (4.0 * c * (1.0 - c2) * h2 - kappa * c * cp - 1.0 - 5.0 * c2)
@@ -145,58 +134,63 @@ def build_matrices(xi: float, amplitude: float, kappa: float, bond: float) -> Bl
     )
     l31 = 4.0 * c * (1.0 - c2) * h2 - 2.0 - c2
     l41 = (4.0 * c * (1.0 - c2) * h2 - 2.0 * (c2 + 1.0) - 4.0 * c2 * c2) / (2.0 * c)
-    Lmat[0, 2] += 1j * xi * a * big_l * 2.0 * c
-    Lmat[0, 3] += 1j * xi * a * big_l
-    Lmat[2, 0] += 1j * xi * a * l31 / (2.0 * q)
-    Lmat[3, 0] += 1j * xi * a * l41 / (2.0 * q)
+    L_xia[0, 2] = 2j * c * big_l
+    L_xia[0, 3] = 1j * big_l
+    L_xia[2, 0] = 1j * l31 / (2.0 * q)
+    L_xia[3, 0] = 1j * l41 / (2.0 * q)
     # O(xi^2): dispersive rotation of the cos/sin pair
-    disp = 0.5 * xi * xi * kappa * (2.0 * cp + kappa * cpp)
-    Lmat[0, 1] += disp
-    Lmat[1, 0] -= disp
+    L_xi2[0, 1] = 0.5 * kappa * (2.0 * cp + kappa * cpp)
+    L_xi2[1, 0] = -L_xi2[0, 1]
 
-    Imat = np.eye(4, dtype=complex)
     alpha = (4.0 * c * (1.0 - 2.0 * c2) * h2 - 1.0) / (4.0 * c * (c2 + 1.0) * q)
-    Imat[0, 2] += a * alpha * 2.0 * q
-    Imat[2, 0] += a * alpha * (c2 + 1.0)
+    I_a[0, 2] = 2.0 * q * alpha
+    I_a[2, 0] = (c2 + 1.0) * alpha
     beta = (1.0 - 6.0 * c * h2) / (2.0 * (c2 + 1.0) * q)
-    Imat[0, 3] += a * beta * 2.0 * q
-    Imat[3, 0] += a * beta * (c2 + 1.0)
+    I_a[0, 3] = 2.0 * q * beta
+    I_a[3, 0] = (c2 + 1.0) * beta
     gamma = kappa * cp / (4.0 * c * (c2 + 1.0) ** 2 * q)
-    Imat[1, 2] += -1j * xi * a * gamma * 4.0 * c * q
-    Imat[1, 3] += -1j * xi * a * gamma * 2.0 * q
-    Imat[2, 1] += -1j * xi * a * gamma * 2.0 * c * (c2 + 1.0)
-    Imat[3, 1] += -1j * xi * a * gamma * (c2 + 1.0)
-
-    return BlochMatrices(
-        xi=xi,
-        amplitude=amplitude,
-        kappa=kappa,
-        bond=bond,
-        Lmat=Lmat,
-        Imat=Imat,
-        quartic=_pencil_determinant(Lmat, Imat),
+    I_xia[1, 2] = -4j * c * q * gamma
+    I_xia[1, 3] = -2j * q * gamma
+    I_xia[2, 1] = -2j * c * (c2 + 1.0) * gamma
+    I_xia[3, 1] = -1j * (c2 + 1.0) * gamma
+    return (
+        {(0, 1): L_a, (1, 0): L_xi, (1, 1): L_xia, (2, 0): L_xi2},
+        {(0, 0): np.eye(4, dtype=complex), (0, 1): I_a, (1, 1): I_xia},
     )
 
 
-def classify_from_quartic(bm: BlochMatrices) -> Stability:
-    """Stable/unstable from the roots of the quartic in X = lambda/(i*xi).
+def build_matrices(xi, amplitude: float, kappa: float, bond: float) -> BlochMatrices:
+    """L(xi, a) and I(xi, a): 4x4 at a float xi, stacked over a 1-d array of xi."""
+    check_finite([*(("xi", x) for x in np.ravel(xi).tolist()), ("amplitude", amplitude)])
+    x = np.asarray(xi, dtype=float)[..., None, None]
+    Lmat, Imat = (
+        sum(x**i * amplitude**j * m for (i, j), m in orders.items())
+        for orders in pencil_orders(kappa, bond)
+    )
+    return BlochMatrices(xi=xi, amplitude=amplitude, kappa=kappa, bond=bond, Lmat=Lmat, Imat=Imat)
 
-    Unstable iff some root X has |Im X| > CLASSIFY_TOL * (1 + max |X|), i.e. some
-    bifurcating eigenvalue leaves the imaginary axis.
+
+def classify_from_quartic(bm: BlochMatrices) -> Stability:
+    """Stable/unstable from the roots X = lambda/(i*xi) of det(L - lambda*I) = 0.
+
+    The roots are the eigenvalues of I^-1 L over i*xi, for every sideband of
+    a stack in one call.  Unstable iff some sideband has a root with
+    |Im X| > CLASSIFY_TOL * (1 + max |X|), i.e. some bifurcating eigenvalue
+    leaves the imaginary axis.
     """
-    xi = bm.xi
-    lead = bm.quartic[4]
-    scale = max(abs(v) for v in bm.quartic)
-    if scale == 0.0 or abs(lead) < 1e-12 * scale:
-        raise DegenerateQuarticError(
-            f"leading quartic coefficient {lead!r} is negligible against {scale!r}"
-        )
-    powers = np.array([(1j * xi) ** n for n in range(5)])
-    coeffs = bm.quartic * powers  # quartic in X, ascending
-    roots = np.roots(coeffs[::-1])
-    worst = max(abs(r.imag) for r in roots)
-    biggest = max(abs(r) for r in roots)
-    if worst > CLASSIFY_TOL * (1.0 + biggest):
+    xi = np.asarray(bm.xi, dtype=float)
+    bad = ~np.isfinite(xi) | (xi == 0.0)
+    if bad.any():
+        raise ValueError(f"xi must be finite and nonzero, got {float(xi[bad][0])!r}")
+    try:
+        roots = np.linalg.eigvals(np.linalg.solve(bm.Imat, bm.Lmat)) / (1j * xi[..., None])
+    except np.linalg.LinAlgError as err:
+        raise DegenerateQuarticError(f"det(L - lambda*I) has no finite roots: {err}") from err
+    if not np.isfinite(roots).all():
+        raise DegenerateQuarticError(f"det(L - lambda*I) has a non-finite root: {roots!r}")
+    worst = np.abs(roots.imag).max(axis=-1)
+    biggest = np.abs(roots).max(axis=-1)
+    if (worst > CLASSIFY_TOL * (1.0 + biggest)).any():
         return Stability.UNSTABLE
     return Stability.STABLE
 
@@ -205,10 +199,7 @@ def classify_band(xi_max: float, amplitude: float, kappa: float, bond: float) ->
     """Unstable iff some sideband xi_max*f, f in SIDEBAND_LADDER, has a nonreal root X.
 
     At finite amplitude the unstable xi-band can sit strictly inside
-    (0, xi_max), so classification sweeps a ladder of sidebands.
+    (0, xi_max), so classification takes the whole ladder, in one stack.
     """
-    for fraction in SIDEBAND_LADDER:
-        bm = build_matrices(xi_max * fraction, amplitude, kappa, bond)
-        if classify_from_quartic(bm) is Stability.UNSTABLE:
-            return Stability.UNSTABLE
-    return Stability.STABLE
+    xis = xi_max * np.array(SIDEBAND_LADDER)
+    return classify_from_quartic(build_matrices(xis, amplitude, kappa, bond))

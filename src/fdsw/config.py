@@ -22,7 +22,7 @@ DEFAULT_AMPLITUDE = 1e-2
 # narrow unstable bands of finite-amplitude trains near mechanism boundaries.
 SIDEBAND_LADDER = (1.0, 1.0 / 4.0, 1.0 / 16.0, 1.0 / 64.0)
 
-# Relative imaginary-part tolerance used when classifying quartic roots.
+# Relative imaginary-part tolerance used when classifying the pencil's roots X.
 CLASSIFY_TOL = 1e-6
 
 # Growth rates below this threshold count as spectrally stable, at the

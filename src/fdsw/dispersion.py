@@ -174,6 +174,13 @@ def check_domain(kappa: float | None, bond: float, zero_kappa: bool = False) -> 
         raise ValueError(f"bond must be finite and nonnegative, got {bond!r}")
 
 
+def check_finite(named_values) -> None:
+    """Raise ValueError, naming the value, unless every (name, value) pair has a finite value."""
+    for name, value in named_values:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _domain_arrays(kappa, bond, zero_kappa: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``kappa`` and ``bond`` as float arrays, each point checked as by :func:`check_domain`."""
     kappa = np.asarray(kappa, dtype=float)

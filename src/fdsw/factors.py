@@ -63,7 +63,6 @@ class Model(str, Enum):
 class Branch(str, Enum):
     FULL = "full"
     MINUS = "minus"
-    PLUS = "plus"
 
 
 class IndexFlag(str, Enum):
@@ -93,12 +92,9 @@ def _factors(
     if branch is Branch.FULL:
         i2 = s.cg * s.cg - 1.0
         i3 = s.c2 - s2.c2
-    elif branch is Branch.MINUS:
+    else:
         i2 = s.cg - 1.0
         i3 = s.c - s2.c
-    else:
-        i2 = s.cg + 1.0
-        i3 = s.c + s2.c
     i4 = None if model is None else _I4[model](s, s2, i2, i3)
     return s.dcg, i2, i3, i4
 
@@ -122,12 +118,12 @@ def factor_i1(kappa: float, bond: float) -> float:
 
 
 def factor_i2(kappa: float, bond: float, branch: Branch = Branch.FULL) -> float:
-    """((kappa*c)')**2 - 1, or its one-sided factor (kappa*c)' -+ 1."""
+    """((kappa*c)')**2 - 1, or its one-sided factor (kappa*c)' - 1."""
     return _factors(*_samples(kappa, bond), Branch(branch))[1]
 
 
 def factor_i3(kappa: float, bond: float, branch: Branch = Branch.FULL) -> float:
-    """c(kappa)**2 - c(2*kappa)**2, or the one-sided c(kappa) -+ c(2*kappa)."""
+    """c(kappa)**2 - c(2*kappa)**2, or the one-sided c(kappa) - c(2*kappa)."""
     return _factors(*_samples(kappa, bond), Branch(branch))[2]
 
 

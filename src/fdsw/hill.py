@@ -34,13 +34,12 @@ the radius filter ORIGIN_RADIUS_FACTOR instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import SIDEBAND_LADDER
-from .dispersion import check_domain, eval_dispersion_squared_array
+from .dispersion import check_domain, check_finite, eval_dispersion_squared_array
 from .stokes import (
     PolishedWave,
     WaveRefinementError,
@@ -100,9 +99,7 @@ class HillProblem:
 def _check_problem(xis, amplitude: float, kappa: float, bond: float, n_modes: int) -> None:
     """Raise ValueError, naming the value, unless the problem is well posed."""
     check_domain(kappa, bond)
-    for name, value in [*(("xi", xi) for xi in xis), ("amplitude", amplitude)]:
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    check_finite([*(("xi", xi) for xi in xis), ("amplitude", amplitude)])
     if not 8 <= n_modes <= MAX_N_MODES:
         raise ValueError(f"n_modes must be in [8, {MAX_N_MODES}], got {n_modes!r}")
 

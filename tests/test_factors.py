@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdsw.dispersion import eval_dispersion
 from fdsw.factors import (
     Branch,
     IndexFlag,
@@ -42,17 +43,27 @@ def test_i3_value_and_sign():
     assert factor_i3(1.0, 0.0, Branch.FULL) > 0.0
 
 
+# The full factors are the one-sided ones times their right-moving partners
+# (kappa*c)' + 1 and c(kappa) + c(2*kappa), taken here from the dispersion.
+def plus_i2(kappa, bond):
+    return eval_dispersion(kappa, bond).cg + 1.0
+
+
+def plus_i3(kappa, bond):
+    return eval_dispersion(kappa, bond).c + eval_dispersion(2.0 * kappa, bond).c
+
+
 @pytest.mark.parametrize("kappa,bond", [(0.3, 0.0), (1.0, 0.0), (2.5, 0.1), (1.3, 2.0), (7.0, 0.5)])
 def test_branch_products(kappa, bond):
     full2 = factor_i2(kappa, bond, Branch.FULL)
     assert full2 == pytest.approx(
-        factor_i2(kappa, bond, Branch.MINUS) * factor_i2(kappa, bond, Branch.PLUS),
+        factor_i2(kappa, bond, Branch.MINUS) * plus_i2(kappa, bond),
         rel=1e-15,
         abs=1e-15,
     )
     full3 = factor_i3(kappa, bond, Branch.FULL)
     assert full3 == pytest.approx(
-        factor_i3(kappa, bond, Branch.MINUS) * factor_i3(kappa, bond, Branch.PLUS),
+        factor_i3(kappa, bond, Branch.MINUS) * plus_i3(kappa, bond),
         rel=1e-15,
         abs=1e-15,
     )
@@ -65,13 +76,18 @@ def test_branch_products(kappa, bond):
 @settings(max_examples=150, deadline=None)
 def test_branch_products_property(kappa, bond):
     full = factor_i2(kappa, bond, Branch.FULL)
-    split = factor_i2(kappa, bond, Branch.MINUS) * factor_i2(kappa, bond, Branch.PLUS)
+    split = factor_i2(kappa, bond, Branch.MINUS) * plus_i2(kappa, bond)
     assert full == pytest.approx(split, rel=1e-14, abs=1e-14)
 
 
 def test_branch_accepts_plain_strings():
     assert factor_i2(1.0, 0.0, "minus") == factor_i2(1.0, 0.0, Branch.MINUS)
-    assert factor_i3(1.0, 0.0, "plus") == factor_i3(1.0, 0.0, Branch.PLUS)
+    assert factor_i3(1.0, 0.0, "full") == factor_i3(1.0, 0.0, Branch.FULL)
+
+
+def test_branch_is_full_or_minus():
+    with pytest.raises(ValueError, match="'plus' is not a valid Branch"):
+        factor_i2(1.0, 0.0, "plus")
 
 
 def test_i4_fdsw2_sign_change_location():
