@@ -15,7 +15,6 @@ pass when few brackets are left.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +24,7 @@ import numpy as np
 
 from .config import on_bond_third
 from .dispersion import check_domain
-from .factors import Model, factor_arrays, index, index_labels
+from .factors import _LABELS, Model, _label_codes, factor_arrays, index
 
 # Scan density and bisection tolerance for factor root finding.  The factors
 # are smooth and cheap; a dense scan guards against close root pairs near the
@@ -63,15 +62,15 @@ PASS_POINTS = 512
 # Default Bond sequence of the large-surface-tension protocol.
 LIMIT_BONDS = (1.0, 10.0, 100.0, 1000.0)
 
-# Largest diagram resolution accepted.  Peak memory grows by about 16 bytes
-# per grid node (its Bond number and label), resolution**2 nodes: about
-# 106 MB measured at the cap (see docs/numerics.md).
+# Largest diagram resolution accepted.  Peak memory grows by about 9 bytes
+# per grid node (its Bond number and label code), resolution**2 nodes: about
+# 74 MB measured at the cap (see docs/numerics.md).
 MAX_RESOLUTION = 2000
 
 # Diagram grid nodes classified per block, in whole kappa rows (at least
 # one).  The temporaries of a block stay near the cache; only the Bond
-# numbers and the labels span the whole grid.  Every node's arithmetic is
-# the same whatever the block, so the grid does not depend on it.
+# numbers and the label codes span the whole grid.  Every node's arithmetic
+# is the same whatever the block, so the grid does not depend on it.
 GRID_BLOCK_NODES = 2**15
 
 MECHANISM_FACTORS = ("i1", "i2", "i3", "i4")
@@ -444,8 +443,13 @@ class StabilityDiagram:
     kappas: np.ndarray  # (n,)
     ys: np.ndarray  # (n,) kappa*sqrt(T)
     bonds: np.ndarray  # (n, n) T = (y/kappa)**2
-    labels: np.ndarray  # (n, n) index classification, strings
+    codes: np.ndarray  # (n, n) uint8 label codes of the index classification
     curves: list[MechanismCurve]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The (n, n) object array of label strings, as ``index_labels`` gives."""
+        return _LABELS[self.codes]
 
     @property
     def grid(self) -> list[GridPoint]:
@@ -496,19 +500,19 @@ def stability_diagram(
                 f"{window} is too narrow: the curves' largest Bond number "
                 f"(ymax/{scan_lo!r})**2 underflows to 0"
             )
-        # T = (y/kappa)**2 as Python's float ** computes it (libm pow): numpy's
-        # square differs from it in the last ulp at some nodes, and the grid
-        # CSV prints T to 17 digits.
+        # T = (y/kappa)**2 as Python's float ** computes it: np.float_power
+        # calls libm pow, as ** does, while numpy's square (x*x) and its
+        # array-exponent power differ from pow in the last ulp at some nodes,
+        # and the grid CSV prints T to 17 digits.
         bonds = np.empty((resolution, resolution))
-        labels = np.empty((resolution, resolution), dtype=object)
+        codes = np.empty((resolution, resolution), dtype=np.uint8)
         step = max(1, GRID_BLOCK_NODES // resolution)
         for start in range(0, resolution, step):
             rows = slice(start, start + step)
-            ratios = (ys[None, :] / kappas[rows, None]).ravel().tolist()
-            squares = map(math.pow, ratios, itertools.repeat(2.0))
-            bonds[rows] = np.fromiter(squares, float, len(ratios)).reshape(-1, resolution)
-            labels[rows] = index_labels(model, kappas[rows, None], bonds[rows])
-    except OverflowError:
+            with np.errstate(over="raise"):
+                np.float_power(ys[None, :] / kappas[rows, None], 2.0, out=bonds[rows])
+            codes[rows] = _label_codes(model, kappas[rows, None], bonds[rows])
+    except (OverflowError, FloatingPointError):
         raise ValueError(f"{window} has Bond numbers beyond float range") from None
 
     # Fixed T is a ray of slope sqrt(T) through the origin; each mechanism
@@ -523,5 +527,5 @@ def stability_diagram(
         points = list(zip(found.root[sel].tolist(), y[sel].tolist()))
         curves.append(MechanismCurve(mechanism=MECHANISM_NAMES[which], points=points))
     return StabilityDiagram(
-        model=model, kappas=kappas, ys=ys, bonds=bonds, labels=labels, curves=curves
+        model=model, kappas=kappas, ys=ys, bonds=bonds, codes=codes, curves=curves
     )

@@ -14,6 +14,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .analysis import (
     LIMIT_BONDS,
     classify_intervals,
@@ -22,7 +24,7 @@ from .analysis import (
     stability_diagram,
 )
 from .config import growth_threshold
-from .factors import Model, index
+from .factors import _LABELS, Model, index
 from .g17 import format_g17
 from .hill import MAX_N_MODES, WaveRefinementError, growth_rate
 
@@ -45,7 +47,7 @@ def _validate(args: argparse.Namespace) -> None:
             f"the {args.model} index; use --model fdsw2"
         )
     if args.command == "hill" and not abs(args.xi) <= 0.5:
-        raise ValueError(f"precondition violated: |xi| <= 1/2 (got {args.xi})")
+        raise ValueError(f"xi must be in [-1/2, 1/2], got {args.xi}")
     if args.command == "diagram":
         curves_out = _curves_path(args)
         if os.path.realpath(curves_out) == os.path.realpath(args.out):
@@ -156,25 +158,25 @@ def _cmd_diagram(args: argparse.Namespace) -> tuple[None, list[str]]:
         ksqrtT_range=(0.0, args.ymax),
         resolution=args.resolution,
     )
-    # One kappa row per write, formatted by one C-level % on a row template
-    # whose y strings are formatted once.  format_g17 prints the Bond
-    # numbers of a block of rows exactly as _fmt does, without a call per
-    # node; a row's bytes objects are made only when it is written.
-    n = diagram.ys.size
-    pieces = [b""] + [b",%s,%%s,%%s\n" % _fmt(y).encode() for y in diagram.ys.tolist()]
-    fields = [None] * (2 * n)
-    step = max(1, FORMAT_BLOCK_NODES // n)
+    # A block of kappa rows at a time, each node's ",y,T,label\n" is joined
+    # by numpy string arrays: the y pieces are formatted once per diagram,
+    # format_g17 prints the Bond numbers exactly as _fmt does without a call
+    # per node, and the label codes pick their line ends.  A row is written
+    # as its kappa string joined with its nodes' strings.
+    ypieces = np.array([b",%s," % _fmt(y).encode() for y in diagram.ys.tolist()])
+    label_lines = np.array([b",%s\n" % label.encode() for label in _LABELS])
+    step = max(1, FORMAT_BLOCK_NODES // diagram.ys.size)
     with open(args.out, "wb") as fh:
         fh.write(b"kappa,kappa_sqrtT,bond,label\n")
         for start in range(0, diagram.kappas.size, step):
             rows = slice(start, start + step)
-            bonds = format_g17(diagram.bonds[rows])
-            for kappa, row, labels in zip(
-                diagram.kappas[rows].tolist(), bonds, diagram.labels[rows]
-            ):
-                fields[::2] = row.tolist()
-                fields[1::2] = labels.astype(bytes).tolist()
-                fh.write(_fmt(kappa).encode().join(pieces) % tuple(fields))
+            nodes = np.char.add(
+                np.char.add(ypieces, format_g17(diagram.bonds[rows])),
+                label_lines[diagram.codes[rows]],
+            )
+            for kappa, row in zip(diagram.kappas[rows].tolist(), nodes):
+                k = _fmt(kappa).encode()
+                fh.write(k + k.join(row.tolist()))
     curve_lines = ["mechanism,kappa,kappa_sqrtT"]
     for curve in diagram.curves:
         curve_lines += [
@@ -183,7 +185,7 @@ def _cmd_diagram(args: argparse.Namespace) -> tuple[None, list[str]]:
     with open(curves_out, "w", newline="\n") as fh:
         fh.write("\n".join(curve_lines) + "\n")
     return None, [
-        f"wrote {diagram.labels.size} grid points to {args.out}",
+        f"wrote {diagram.codes.size} grid points to {args.out}",
         f"wrote curves to {curves_out}",
     ]
 

@@ -257,15 +257,13 @@ def index(model: Model, kappa: float, bond: float) -> IndexReport:
     )
 
 
-# index_labels' label codes: the flags' labels in precedence order, then U, then S.
+# The label codes of _label_codes index this array: the flags' labels in
+# precedence order, then U, then S.
 _LABELS = np.array([*_FLAG_LABELS.values(), "U", "S"], dtype=object)
 
 
-def index_labels(model: Model, kappa, bond) -> np.ndarray:
-    """``index(model, k, T).classification`` at every point, broadcast.
-
-    Returns an object array of the label strings, in one array pass.
-    """
+def _label_codes(model: Model, kappa, bond) -> np.ndarray:
+    """The index into ``_LABELS`` of each point's label, as uint8, broadcast."""
     model = Model(model)
     s, s2 = _array_samples(kappa, bond)
     with np.errstate(all="ignore"):
@@ -279,4 +277,12 @@ def index_labels(model: Model, kappa, bond) -> np.ndarray:
         # the first condition that holds picks the label
         conditions = [flags[flag] for flag in _FLAG_LABELS] + [delta < 0.0]
         code = np.select(conditions, list(range(len(conditions))), default=len(conditions))
-    return _LABELS[code]
+    return code.astype(np.uint8)
+
+
+def index_labels(model: Model, kappa, bond) -> np.ndarray:
+    """``index(model, k, T).classification`` at every point, broadcast.
+
+    Returns an object array of the label strings, in one array pass.
+    """
+    return _LABELS[_label_codes(model, kappa, bond)]

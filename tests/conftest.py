@@ -1,5 +1,38 @@
 import pytest
 
+from fdsw.analysis import find_factor_roots
+from fdsw.factors import Branch, Model, factor_i1, factor_i2, factor_i3, factor_i4
+
+# The oracle probe grid of the acceptance triangle and the pencil tests.
+PROBE_KAPPAS = (0.3, 0.5, 0.8, 1.5, 2.0, 3.0)
+PROBE_BONDS = (0.0, 0.05, 0.2, 1.0, 5.0)
+
+
+def probe_points():
+    """The probe grid minus points within 0.05 of a factor root or pole.
+
+    Proximity is measured both in kappa (distance to a root at that Bond
+    number) and in the factor's own value (resonance detuning): at detunings
+    below 0.05 the finite-amplitude probes measure expansion-validity
+    physics rather than the asymptotic classification.
+    """
+    for bond in PROBE_BONDS:
+        roots = []
+        for which in ("i1", "i2", "i3", "i4"):
+            roots += find_factor_roots(Model.FDSW2, which, bond, 0.02, 10.0)
+        for kappa in PROBE_KAPPAS:
+            if any(abs(kappa - r) < 0.05 for r in roots):
+                continue
+            detune = min(
+                abs(factor_i1(kappa, bond)),
+                abs(factor_i2(kappa, bond, Branch.MINUS)),
+                abs(factor_i3(kappa, bond, Branch.MINUS)),
+                abs(factor_i4(Model.FDSW2, kappa, bond)),
+            )
+            if detune < 0.05:
+                continue
+            yield kappa, bond
+
 _verdicts: list[str] = []
 
 

@@ -6,10 +6,14 @@ recorded through the ``acceptance_report`` fixture and echoed as an
 line per criterion.
 """
 
+import importlib.util
 import math
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from conftest import PROBE_BONDS, PROBE_KAPPAS, probe_points
 
 from fdsw.analysis import (
     Verdict,
@@ -21,12 +25,9 @@ from fdsw.analysis import (
 from fdsw.bloch import Stability, classify_band
 from fdsw.config import growth_threshold
 from fdsw.dispersion import eval_dispersion
-from fdsw.factors import Branch, Model, factor_i1, factor_i2, factor_i3, factor_i4, index
+from fdsw.factors import Model, factor_i1, factor_i2, factor_i3, factor_i4, index
 from fdsw.hill import growth_rate, growth_rate_band
 from fdsw.stokes import residual_periodic, wave_train
-
-PROBE_KAPPAS = (0.3, 0.5, 0.8, 1.5, 2.0, 3.0)
-PROBE_BONDS = (0.0, 0.05, 0.2, 1.0, 5.0)
 
 
 def test_critical_wavenumbers_t0(acceptance_report):
@@ -121,30 +122,22 @@ def test_region_structure(acceptance_report):
     assert high == ["S", "U"]
 
 
-def probe_points():
-    """The criterion's grid minus points within 0.05 of a factor root or pole.
-
-    Proximity is measured both in kappa (distance to a root at that Bond
-    number) and in the factor's own value (resonance detuning): at detunings
-    below 0.05 the finite-amplitude probes measure expansion-validity
-    physics rather than the asymptotic classification.
-    """
+def test_probe_filter_matches_the_bench_oracle_filter(monkeypatch):
+    # the oracle workload draws its points through bench/workloads.py's
+    # filter; on the probe grid it keeps exactly the points probe_points keeps
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    kept = []
     for bond in PROBE_BONDS:
         roots = []
         for which in ("i1", "i2", "i3", "i4"):
             roots += find_factor_roots(Model.FDSW2, which, bond, 0.02, 10.0)
-        for kappa in PROBE_KAPPAS:
-            if any(abs(kappa - r) < 0.05 for r in roots):
-                continue
-            detune = min(
-                abs(factor_i1(kappa, bond)),
-                abs(factor_i2(kappa, bond, Branch.MINUS)),
-                abs(factor_i3(kappa, bond, Branch.MINUS)),
-                abs(factor_i4(Model.FDSW2, kappa, bond)),
-            )
-            if detune < 0.05:
-                continue
-            yield kappa, bond
+        kept += [(k, bond) for k in PROBE_KAPPAS if workloads.admissible_probe(k, bond, roots)]
+    assert kept == list(probe_points())
+    assert 0 < len(kept) < len(PROBE_KAPPAS) * len(PROBE_BONDS)
 
 
 def test_oracle_triangle(acceptance_report):

@@ -549,6 +549,65 @@ def test_blocked_grid_matches_one_pass_reference(monkeypatch, model, block_nodes
     assert labels[-1, -1] == "NearPole"
 
 
+def _python_square(x: float) -> float:
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("resolution", [600, 2000])
+def test_grid_bond_numbers_are_pythons_square(resolution):
+    # the grid's T = (y/kappa)**2 from np.float_power is bit for bit the
+    # libm pow of Python's **, on the default window at 600 and 2000 nodes
+    # a side; numpy's x*x differs from it at some nodes of both
+    diagram = stability_diagram(Model.FDSW2, resolution=resolution)
+    product_differs = 0
+    for start in range(0, resolution, 100):
+        rows = slice(start, start + 100)
+        ratios = (diagram.ys[None, :] / diagram.kappas[rows, None]).ravel()
+        expected = np.array([_python_square(r) for r in ratios.tolist()])
+        assert np.float_power(ratios, 2.0).tobytes() == expected.tobytes()
+        assert diagram.bonds[rows].tobytes() == expected.tobytes()
+        product_differs += np.count_nonzero(ratios * ratios != expected)
+    assert product_differs > 0
+
+
+def _float_power_matches_python(x: np.ndarray) -> None:
+    x = x[np.isfinite(x)]
+    with np.errstate(over="ignore"):
+        got = np.float_power(x, 2.0)
+    expected = np.array([_python_square(v) for v in x.tolist()], dtype=float)
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_float_power_square_is_pythons_square_on_every_finite_double(patterns):
+    _float_power_matches_python(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def test_float_power_square_is_pythons_square_on_random_bit_patterns():
+    rng = np.random.default_rng(20171)
+    _float_power_matches_python(rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64))
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_diagram_codes_are_uint8_and_name_the_index_labels(model):
+    # the second window crosses T = 1/3, and its corner node sits on the
+    # second-harmonic resonance at T = 0.2 (NearPole)
+    wilton = find_factor_roots(Model.FDSW2, "i3", 0.2, 1.0, 1.5)[0]
+    for k_max, y_max, resolution in ((3.0, 3.0, 60), (wilton, wilton * math.sqrt(0.2), 50)):
+        diagram = stability_diagram(model, (0.0, k_max), (0.0, y_max), resolution)
+        assert diagram.codes.dtype == np.uint8
+        assert diagram.codes.shape == (resolution, resolution)
+        labels = index_labels(model, diagram.kappas[:, None], diagram.bonds)
+        assert diagram.labels.dtype == object
+        assert diagram.labels.tolist() == labels.tolist()
+    assert diagram.bonds.min() < 1.0 / 3.0 < diagram.bonds.max()
+    assert diagram.labels[-1, -1] == "NearPole"
+
+
 @pytest.mark.parametrize("model", list(Model))
 def test_batched_labels_match_index_at_guarded_nodes(model):
     wilton = find_factor_roots(Model.FDSW2, "i3", 0.2, 1.0, 1.5)[0]

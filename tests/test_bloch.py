@@ -3,9 +3,9 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from conftest import probe_points
 
 import fdsw.bloch
-from fdsw.analysis import find_factor_roots
 from fdsw.bloch import (
     BlochMatrices,
     DegenerateQuarticError,
@@ -167,37 +167,14 @@ def test_build_rejects_nonfinite_before_matrix_work(monkeypatch):
         build_matrices(1e-2, math.inf, 1.0, 0.0)
 
 
-def probe_grid_points():
-    kappas = [0.3, 0.5, 0.8, 1.5, 2.0, 3.0]
-    bonds = [0.0, 0.05, 0.2, 1.0, 5.0]
-    from fdsw.factors import Branch, factor_i1, factor_i2, factor_i3, factor_i4
-
-    for bond in bonds:
-        roots = []
-        for which in ("i1", "i2", "i3", "i4"):
-            roots += find_factor_roots(Model.FDSW2, which, bond, 0.02, 10.0)
-        for kappa in kappas:
-            if any(abs(kappa - r) < 0.05 for r in roots):
-                continue
-            detune = min(
-                abs(factor_i1(kappa, bond)),
-                abs(factor_i2(kappa, bond, Branch.MINUS)),
-                abs(factor_i3(kappa, bond, Branch.MINUS)),
-                abs(factor_i4(Model.FDSW2, kappa, bond)),
-            )
-            if detune < 0.05:
-                continue
-            yield kappa, bond
-
-
 def test_band_classification_matches_index_sign():
-    for kappa, bond in probe_grid_points():
+    for kappa, bond in probe_points():
         expected = Stability.UNSTABLE if index(Model.FDSW2, kappa, bond).delta < 0 else Stability.STABLE
         assert classify_band(1e-2, 1e-2, kappa, bond) is expected, (kappa, bond)
 
 
 def test_classification_stable_under_parameter_halving():
-    for kappa, bond in probe_grid_points():
+    for kappa, bond in probe_points():
         full = classify_band(1e-2, 1e-2, kappa, bond)
         halved = classify_band(5e-3, 5e-3, kappa, bond)
         assert full is halved, (kappa, bond)
@@ -207,7 +184,7 @@ def test_eigenvalues_match_the_quartic_route_on_the_probe_grid():
     # the roots the classification takes from one batched eigensolve are
     # those of the characteristic quartic, rung by rung, and so are the labels
     n_points = 0
-    for kappa, bond in probe_grid_points():
+    for kappa, bond in probe_points():
         n_points += 1
         xis = 1e-2 * np.array(SIDEBAND_LADDER)
         stack = build_matrices(xis, 1e-2, kappa, bond)

@@ -308,6 +308,38 @@ def test_degenerate_diagram_windows_exit_2(tmp_path, capsys, args):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "kmax, ymax, resolution",
+    [
+        ("1", "1e160", "600"),  # the curves' largest Bond number overflows
+        ("2e-3", "1e151", "4"),  # only the grid's largest Bond number overflows
+    ],
+)
+def test_overflowing_window_exits_2_without_a_warning(tmp_path, capsys, kmax, ymax, resolution):
+    out_path = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "diagram", "--kmax", kmax, "--ymax", ymax, "--resolution", resolution,
+            "--out", str(out_path),
+        )
+    assert code == 2
+    assert out == ""
+    window = f"(0.0, {float(kmax)!r}) x (0.0, {float(ymax)!r})"
+    assert err == f"error: window {window} has Bond numbers beyond float range\n"
+    assert not out_path.exists()
+
+
+def test_hill_xi_out_of_range_message(capsys):
+    for xi in ("0.6", "-0.6"):
+        code, out, err = run_cli(
+            capsys, "hill", "--xi", xi, "--amplitude", "0.01", "--kappa", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: xi must be in [-1/2, 1/2], got {float(xi)}\n"
+
+
 # Invalid invocations and the offending value each error message names.
 HILL_01 = ("hill", "--xi", "0.01", "--amplitude", "0.01", "--kappa", "1")
 HILL_0 = ("hill", "--xi", "0", "--amplitude", "0")
@@ -332,6 +364,7 @@ INVALID = {
     ("diagram", "--resolution", "1", "--out", "unused.csv"): "1",
     ("diagram", "--resolution", str(MAX_RESOLUTION + 1), "--out", "unused.csv"): "2001",
     (*HILL_01, "--n-modes", "7"): "7",
+    ("hill", "--xi", "0.6", "--amplitude", "0.01", "--kappa", "1"): "0.6",
     # xi = a = 0 has growth 0 without a solve, but its arguments are still checked
     (*HILL_0, "--kappa", "1", "--n-modes", str(MAX_N_MODES + 1)): str(MAX_N_MODES + 1),
     (*HILL_0, "--kappa", "1", "--n-modes", "7"): "7",
@@ -353,7 +386,7 @@ def _no_work(*args, **kwargs):
 def test_invalid_inputs_exit_2(capsys, monkeypatch, args):
     # each is rejected by value before any grid, factor scan or wave polish
     for module, name in (
-        (fdsw.analysis, "index_labels"),
+        (fdsw.analysis, "_label_codes"),
         (fdsw.analysis, "_factor_roots"),
         (fdsw.hill, "polish_wave"),
     ):

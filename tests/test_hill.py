@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from test_acceptance import probe_points
+from conftest import probe_points
 
 import fdsw.hill
 from fdsw.bloch import Stability, classify_band
