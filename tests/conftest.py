@@ -33,6 +33,7 @@ def probe_points():
                 continue
             yield kappa, bond
 
+
 _verdicts: list[str] = []
 
 

@@ -573,23 +573,15 @@ def test_grid_bond_numbers_are_pythons_square(resolution):
     assert product_differs > 0
 
 
-def _float_power_matches_python(x: np.ndarray) -> None:
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_float_power_square_is_pythons_square_on_every_finite_double(patterns):
+    x = np.array(patterns, dtype=np.uint64).view(np.float64)
     x = x[np.isfinite(x)]
     with np.errstate(over="ignore"):
         got = np.float_power(x, 2.0)
     expected = np.array([_python_square(v) for v in x.tolist()], dtype=float)
     assert got.tobytes() == expected.tobytes()
-
-
-@settings(max_examples=300)
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
-def test_float_power_square_is_pythons_square_on_every_finite_double(patterns):
-    _float_power_matches_python(np.array(patterns, dtype=np.uint64).view(np.float64))
-
-
-def test_float_power_square_is_pythons_square_on_random_bit_patterns():
-    rng = np.random.default_rng(20171)
-    _float_power_matches_python(rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64))
 
 
 @pytest.mark.parametrize("model", list(Model))
