@@ -3,7 +3,7 @@
 The stability boundary of a model decomposes into the zero sets of the four
 index factors (mechanisms R1..R4).  This module locates those roots in
 kappa at fixed Bond number, extracts the critical wave number kappa_c
-(the R4 crossing), runs the large-surface-tension protocol on the scaled
+(the R4 crossing) and the large-surface-tension limit of the scaled
 threshold kappa_c*sqrt(T), splits a kappa-range into classified stability
 intervals, and assembles (kappa, kappa*sqrt(T)) stability diagrams.
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -42,12 +41,15 @@ MIN_KAPPA = 1e-4
 MAX_KAPPA = 1e150
 
 # critical_wavenumber scans i4 on [MIN_KAPPA, CRITICAL_K_MAX], then once on
-# [MIN_KAPPA, 4*CRITICAL_K_MAX], before it certifies divergence.
+# [MIN_KAPPA, 4*CRITICAL_K_MAX], and for T > 1 once more in y = kappa*sqrt(T)
+# on [MIN_KAPPA, CRITICAL_K_MAX], before it certifies divergence.
 CRITICAL_K_MAX = 50.0
 
-# large_T_limit calls the scaled threshold divergent when its tail increases
-# by more than this in the last step.
-DIV_INCREMENT = 0.1
+# The Bond number at which large_T_limit scans i4 in y.  Its corrections to
+# the T -> infinity limit are O(y**2/T), below one ulp for y <= CRITICAL_K_MAX
+# from T ~ 1e20 on; at 1e100 the smallest kappa = y/sqrt(T) scanned is 1e-54,
+# so kappa**4 (in fdch's i4) is still a normal float.
+LIMIT_BOND = 1e100
 
 # Bond numbers (rays through the origin) along which the diagram's mechanism
 # curves are traced, T = 0 among them.
@@ -58,9 +60,6 @@ CURVE_SAMPLES = 200
 # points, see docs/numerics.md), so a few live brackets take several
 # bisection steps per pass (see _bisect).
 PASS_POINTS = 512
-
-# Default Bond sequence of the large-surface-tension protocol.
-LIMIT_BONDS = (1.0, 10.0, 100.0, 1000.0)
 
 # Largest diagram resolution accepted.  Peak memory grows by about 9 bytes
 # per grid node (its Bond number and label code), resolution**2 nodes: about
@@ -87,7 +86,8 @@ class _Roots:
 
     Entries are ordered by factor, then Bond number, then kappa.  A scan
     node where the factor is exactly zero is a root with a zero-width
-    bracket and no iterations.
+    bracket and no iterations.  ``finite`` tells whether every scanned
+    value was finite: only then does an empty result mean no sign change.
     """
 
     factor: np.ndarray  # index into the factors searched
@@ -96,6 +96,7 @@ class _Roots:
     lo: np.ndarray
     hi: np.ndarray
     iterations: np.ndarray
+    finite: bool
 
 
 def _scan_grid(k_lo: float, k_hi: float, points: int) -> np.ndarray:
@@ -114,23 +115,27 @@ def _factor_rows(which: Sequence[str]) -> list[int]:
 
 
 def _factor_roots(
-    model: Model, which: Sequence[str], bonds: np.ndarray, grid: np.ndarray
+    model: Model, which: Sequence[str], bonds: np.ndarray, grid: np.ndarray, scale: float = 1.0
 ) -> _Roots:
     """Every sign change of the named factors along every Bond number.
 
-    The factors are scanned on ``grid`` (kappa, shared by all Bond numbers)
-    in one array pass; every bracket with a strict sign change is then
-    bisected down to ROOT_TOL in kappa, all brackets at once.  Sign changes
-    are products of neighbours below zero, as in float arithmetic: an
-    overflowed or underflowed product raises no warning.
+    The factors are scanned on ``grid`` (s = kappa*scale, shared by all
+    Bond numbers) in one array pass; every bracket with a strict sign change
+    is then bisected down to ROOT_TOL in s, all brackets at once, and the
+    roots and brackets are returned in s.  Sign changes are products of
+    finite neighbours below zero, as in float arithmetic: an overflowed or
+    underflowed product raises no warning.  A jump to or from inf or nan is
+    overflow and brackets nothing.
     """
     rows = _factor_rows(which)
     bonds = np.asarray(bonds, dtype=float)
-    values = np.stack(factor_arrays(model, grid[None, :], bonds[:, None]))[rows]
+    values = np.stack(factor_arrays(model, grid[None, :] / scale, bonds[:, None]))[rows]
+    finite = np.isfinite(values)
     zero = values == 0.0
     event = zero.copy()
     with np.errstate(all="ignore"):
-        event[..., :-1] |= values[..., :-1] * values[..., 1:] < 0.0
+        change = values[..., :-1] * values[..., 1:] < 0.0
+    event[..., :-1] |= change & finite[..., :-1] & finite[..., 1:]
     factor, ray, i = np.nonzero(event)
     lo = grid[i]
     bracketed = ~zero[factor, ray, i]
@@ -141,15 +146,18 @@ def _factor_roots(
     b_rows = np.asarray(rows)[factor[b]]
     b_bonds = bonds[ray[b]]
 
-    def evaluate(kappa: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        table = np.stack(factor_arrays(model, kappa, b_bonds[sel]))
+    def evaluate(s: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        table = np.stack(factor_arrays(model, s / scale, b_bonds[sel]))
         return table[b_rows[sel], np.arange(sel.size)]
 
     root, iterations = lo.copy(), np.zeros(lo.size, dtype=int)
     root[b], lo[b], hi[b], iterations[b] = _bisect(
         evaluate, lo[b], hi[b], values[factor[b], ray[b], i[b]]
     )
-    return _Roots(factor=factor, ray=ray, root=root, lo=lo, hi=hi, iterations=iterations)
+    return _Roots(
+        factor=factor, ray=ray, root=root, lo=lo, hi=hi, iterations=iterations,
+        finite=bool(finite.all()),
+    )
 
 
 def _pass_depth(n_live: int) -> int:
@@ -300,8 +308,12 @@ def critical_wavenumber(model: Model, bond: float) -> CriticalResult:
     For T = 0 and T > 1/3 this root is unique and is the threshold above
     which small wave trains are modulationally unstable.  If no sign change
     exists up to CRITICAL_K_MAX, the scan is extended once to
-    4*CRITICAL_K_MAX before a divergence certificate (kappa_c = None) is
-    returned.  A scan node where i4 is exactly zero is returned as is, with a
+    4*CRITICAL_K_MAX.  For T > 1 it then scans once more in y = kappa*sqrt(T)
+    on [MIN_KAPPA, CRITICAL_K_MAX], which reaches the thresholds
+    kappa_c ~ y/sqrt(T) below MIN_KAPPA that a large T gives.  Only where i4
+    was finite at every scan node of every window is a divergence
+    certificate (kappa_c = None) returned; otherwise ValueError names the
+    bond.  A scan node where i4 is exactly zero is returned as is, with a
     zero-width bracket.  Before any scan, a bond on the line T = 1/3 raises
     InconclusiveBondError and one not finite and >= 0 raises ValueError.
     """
@@ -311,90 +323,59 @@ def critical_wavenumber(model: Model, bond: float) -> CriticalResult:
             f"bond={bond!r} is on the T=1/3 line where the index is inconclusive"
         )
     model = Model(model)
-    for hi in (CRITICAL_K_MAX, 4.0 * CRITICAL_K_MAX):
-        found = _factor_roots(model, ("i4",), [bond], _scan_grid(MIN_KAPPA, hi, SCAN_POINTS))
+    windows = [(CRITICAL_K_MAX, 1.0), (4.0 * CRITICAL_K_MAX, 1.0)]
+    if bond > 1.0:
+        windows.append((CRITICAL_K_MAX, math.sqrt(bond)))
+    finite = True
+    for s_hi, scale in windows:
+        grid = _scan_grid(MIN_KAPPA, s_hi, SCAN_POINTS)
+        found = _factor_roots(model, ("i4",), [bond], grid, scale)
         if found.root.size:
             return CriticalResult(
                 model=model,
                 bond=bond,
-                kappa_c=float(found.root[0]),
-                bracket=(float(found.lo[0]), float(found.hi[0])),
+                kappa_c=float(found.root[0]) / scale,
+                bracket=(float(found.lo[0]) / scale, float(found.hi[0]) / scale),
                 iterations=int(found.iterations[0]),
             )
+        finite &= found.finite
+    if not finite:
+        raise ValueError(
+            f"bond={bond!r}: i4 overflows on the scan, so neither a threshold "
+            "nor its divergence can be certified"
+        )
     return CriticalResult(model=model, bond=bond, kappa_c=None, bracket=None, iterations=0)
-
-
-class Verdict(str, Enum):
-    CONVERGED = "Converged"
-    DIVERGENT = "Divergent"
-    UNDETERMINED = "Undetermined"
 
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    """Large-surface-tension behavior of the scaled threshold kappa_c*sqrt(T)."""
+    """The large-surface-tension limit y_inf of kappa_c(T)*sqrt(T)."""
 
     model: Model
-    bonds: tuple[float, ...]
-    kappa_values: tuple[float | None, ...]
-    scaled_values: tuple[float | None, ...]
-    verdict: Verdict
-    limit: float | None  # scaled threshold at the largest T when converged
+    limit: float | None  # None where the scaled threshold has no finite limit
+    bracket: tuple[float, float] | None
 
 
-def large_T_limit(
-    model: Model,
-    bond_sequence: Sequence[float] = LIMIT_BONDS,
-    conv_tol: float = 1e-3,
-) -> LimitEstimate:
-    """Track kappa_c(T)*sqrt(T) over an increasing Bond sequence.
+def large_T_limit(model: Model) -> LimitEstimate:
+    """The root y_inf of i4 as T -> infinity at fixed y = kappa*sqrt(T).
 
     The scaled threshold is the ordinate of the R4 curve in the
-    (kappa, kappa*sqrt(T)) plane, which is the quantity with a finite
-    large-T limit for the models that have one.  Verdicts:
-
-    - Divergent: the tail of the sequence (last three values) is strictly
-      increasing and the last increment exceeds DIV_INCREMENT, or the
-      threshold escaped the search range altogether.
-    - Converged: the last two values differ by less than ``conv_tol``.
-
-    The Bond numbers must be finite and >= 0, ``conv_tol`` finite and > 0.
+    (kappa, kappa*sqrt(T)) plane, the quantity with a finite large-T limit
+    for the models that have one (fdsw1, fdch).  It is found as
+    critical_wavenumber finds a threshold at large T, in y on
+    [MIN_KAPPA, CRITICAL_K_MAX], at LIMIT_BOND, where i4 equals its limit
+    to the last ulp.  No root there is ``limit = None``: the threshold of
+    whitham and fdsw2 grows without bound in y.
     """
-    bonds = tuple(bond_sequence)
-    for bond in bonds:
-        check_domain(None, bond)
-    if len(bonds) < 2 or any(b2 <= b1 for b1, b2 in zip(bonds, bonds[1:])):
-        raise ValueError("bond_sequence must be increasing with at least two entries")
-    if not (conv_tol > 0.0 and math.isfinite(conv_tol)):
-        raise ValueError(f"conv_tol must be finite and > 0, got {conv_tol!r}")
-    kappas: list[float | None] = []
-    scaled: list[float | None] = []
-    for T in bonds:
-        res = critical_wavenumber(model, T)
-        kappas.append(res.kappa_c)
-        scaled.append(None if res.kappa_c is None else res.kappa_c * math.sqrt(T))
-
-    verdict = Verdict.UNDETERMINED
-    limit = None
-    if scaled[-1] is None:
-        verdict = Verdict.DIVERGENT
-    else:
-        tail = [y for y in scaled[-3:] if y is not None]
-        increasing = all(b > a for a, b in zip(tail, tail[1:]))
-        last_two = [y for y in scaled[-2:] if y is not None]
-        last_inc = last_two[1] - last_two[0] if len(last_two) == 2 else math.inf
-        if increasing and last_inc > DIV_INCREMENT:
-            verdict = Verdict.DIVERGENT
-        elif abs(last_inc) < conv_tol:
-            verdict = Verdict.CONVERGED
-            limit = scaled[-1]
+    model = Model(model)
+    grid = _scan_grid(MIN_KAPPA, CRITICAL_K_MAX, SCAN_POINTS)
+    found = _factor_roots(model, ("i4",), [LIMIT_BOND], grid, math.sqrt(LIMIT_BOND))
+    if not found.root.size:
+        return LimitEstimate(model=model, limit=None, bracket=None)
     return LimitEstimate(
-        model=Model(model),
-        bonds=bonds,
-        kappa_values=tuple(kappas),
-        scaled_values=tuple(scaled),
-        verdict=verdict,
-        limit=limit,
+        model=model,
+        limit=float(found.root[0]),
+        bracket=(float(found.lo[0]), float(found.hi[0])),
     )
 
 

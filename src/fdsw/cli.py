@@ -16,13 +16,7 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    LIMIT_BONDS,
-    classify_intervals,
-    critical_wavenumber,
-    large_T_limit,
-    stability_diagram,
-)
+from .analysis import classify_intervals, critical_wavenumber, large_T_limit, stability_diagram
 from .config import growth_threshold
 from .factors import _LABELS, Model, index
 from .g17 import format_g17
@@ -97,28 +91,11 @@ def _cmd_index(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return record, lines
 
 
-def _fmt_or_divergent(k: float | None) -> str:
-    return _fmt(k) if k is not None else "divergent"
-
-
 def _cmd_critical(args: argparse.Namespace) -> tuple[dict, list[str]]:
     if args.limit:
-        est = large_T_limit(args.model, args.bonds or LIMIT_BONDS, conv_tol=args.conv_tol)
-        record = {
-            "command": "critical",
-            "model": args.model,
-            "bonds": list(est.bonds),
-            "kappa_c": list(est.kappa_values),
-            "kappa_c_scaled": list(est.scaled_values),
-            "verdict": est.verdict.value,
-            "limit": est.limit,
-        }
-        lines = ["bond,kappa_c,kappa_c_scaled"] + [
-            f"{_fmt(T)},{_fmt_or_divergent(k)},{_fmt_or_divergent(y)}"
-            for T, k, y in zip(est.bonds, est.kappa_values, est.scaled_values)
-        ]
-        tail = "" if est.limit is None else f" {_fmt(est.limit)}"
-        return record, lines + [f"verdict = {est.verdict.value}{tail}"]
+        limit = large_T_limit(args.model).limit
+        record = {"command": "critical", "model": args.model, "limit": limit}
+        return record, [f"limit = {'none' if limit is None else _fmt(limit)}"]
     bonds = tuple(args.bonds) if args.bonds else (0.0,)
     rows = [critical_wavenumber(args.model, b) for b in bonds]
     record = {
@@ -128,7 +105,9 @@ def _cmd_critical(args: argparse.Namespace) -> tuple[dict, list[str]]:
             {"bond": r.bond, "kappa_c": r.kappa_c, "divergent": r.divergent} for r in rows
         ],
     }
-    lines = ["bond,kappa_c"] + [f"{_fmt(r.bond)},{_fmt_or_divergent(r.kappa_c)}" for r in rows]
+    lines = ["bond,kappa_c"] + [
+        f"{_fmt(r.bond)},{'divergent' if r.divergent else _fmt(r.kappa_c)}" for r in rows
+    ]
     return record, lines
 
 
@@ -249,13 +228,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bond", type=float, default=0.0)
 
     p = sub.add_parser("critical", parents=[common], help="critical wave number(s)")
-    p.add_argument("--bond", type=float, action="append", dest="bonds")
-    p.add_argument("--limit", action="store_true", help="run the large-T protocol")
-    p.add_argument(
-        "--conv-tol",
-        type=float,
-        default=1e-2,
-        help="convergence tolerance on the scaled threshold (default 1e-2)",
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--bond", type=float, action="append", dest="bonds")
+    which.add_argument(
+        "--limit",
+        action="store_true",
+        help="the large-surface-tension limit of kappa_c*sqrt(T)",
     )
 
     p = sub.add_parser("diagram", parents=[common], help="stability diagram CSV")

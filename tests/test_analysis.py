@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from fdsw.analysis import (
     SCAN_POINTS,
     InconclusiveBondError,
     MechanismCurve,
-    Verdict,
     classify_intervals,
     critical_wavenumber,
     find_factor_roots,
@@ -372,35 +372,63 @@ def test_critical_wavenumber_rejects_bond_third():
         critical_wavenumber(Model.FDSW2, 1.0 / 3.0)
 
 
-def test_large_T_verdicts():
-    est = large_T_limit(Model.WHITHAM, conv_tol=0.01)
-    assert est.verdict is Verdict.DIVERGENT
-    scaled = [y for y in est.scaled_values if y is not None]
-    assert scaled[-1] > scaled[-2] > scaled[-3]
+def _i4_limit(model, y):
+    """The closed-form T -> infinity limit of i4 at y = kappa*sqrt(T), in mpmath.
 
-    est = large_T_limit(Model.FDSW2, conv_tol=0.01)
-    assert est.verdict is Verdict.DIVERGENT
-
-    est = large_T_limit(Model.FDSW1, conv_tol=0.01)
-    assert est.verdict is Verdict.CONVERGED
-    assert est.limit == pytest.approx(1.054, abs=0.01)
-
-    est = large_T_limit(Model.FDCH, conv_tol=0.01)
-    assert est.verdict is Verdict.CONVERGED
-    assert est.limit == pytest.approx(1.283, abs=0.01)
-
-
-def test_large_T_default_tolerance_is_stricter():
-    # at the default 1e-3 the sequence over {1,10,100,1000} has not settled
-    est = large_T_limit(Model.FDCH)
-    assert est.verdict is Verdict.UNDETERMINED
+    c**2 -> 1 + y**2, c(2k)**2 -> 1 + 4y**2, (kc)' -> (1 + 2y**2)/sqrt(1 + y**2),
+    k c c' -> y**2 and k**2 c'**2 -> y**4/(1 + y**2), as docs/numerics.md states.
+    """
+    c2, c2_2 = 1 + y**2, 1 + 4 * y**2
+    if model is Model.FDSW1:
+        return (
+            3 * c2 + 15 * c2**2 - 6 * c2_2 * (c2 + 2) + 18 * c2 * y**2
+            + y**4 / c2 * (5 * c2 + 4 * c2_2)
+        )
+    i2m = (1 + 2 * y**2) / mpmath.sqrt(c2) - 1
+    i3m = mpmath.sqrt(c2) - mpmath.sqrt(c2_2)
+    return 3 * i2m - i2m * i3m + 6 * i3m
 
 
-def test_large_T_validates_sequence():
-    with pytest.raises(ValueError):
-        large_T_limit(Model.FDSW2, (10.0, 1.0))
-    with pytest.raises(ValueError):
-        large_T_limit(Model.FDSW2, (10.0,))
+@pytest.mark.parametrize("model,guess", [(Model.FDSW1, 1.054), (Model.FDCH, 1.283)])
+def test_large_T_limit_brackets_the_closed_form_root(model, guess):
+    with mpmath.workdps(40):
+        exact = mpmath.findroot(lambda y: _i4_limit(model, y), guess)
+    est = large_T_limit(model)
+    lo, hi = est.bracket
+    assert lo <= exact <= hi
+    assert lo <= est.limit <= hi and hi - lo <= ROOT_TOL
+
+
+@pytest.mark.parametrize("model", [Model.WHITHAM, Model.FDSW2])
+def test_large_T_limit_is_none_where_the_threshold_diverges(model):
+    est = large_T_limit(model)
+    assert est.limit is None and est.bracket is None
+
+
+# 1e8: kappa_c is still above MIN_KAPPA; 1.2e8 (fdsw1) and 1.7e8 (fdch): it
+# is not, and the scan in y finds it; 1e154: i4 jumps from +inf to -inf
+# inside the kappa windows, which brackets no root.
+@pytest.mark.parametrize("bond", [1e8, 1.2e8, 1.7e8, 1e10, 1e20, 1e100, 1e154, 1e300])
+@pytest.mark.parametrize("model", [Model.FDSW1, Model.FDCH])
+def test_scaled_threshold_reaches_the_limit(model, bond):
+    result = critical_wavenumber(model, bond)
+    assert result.kappa_c * math.sqrt(bond) == pytest.approx(
+        large_T_limit(model).limit, rel=1e-6
+    )
+
+
+def test_overflow_is_not_a_root():
+    # fdsw1's i4 at T = 1e154 is +inf below kappa = 0.5866 and -inf above:
+    # overflow, not a sign change (at T = 1e150 it is positive on both sides)
+    assert find_factor_roots(Model.FDSW1, "i4", 1e154, 0.1, 1.0) == []
+
+
+def test_overflow_is_not_divergence():
+    # at T = 1e152 fdsw2's threshold (-> 1.0733 in kappa) is still found; at
+    # 1e154 i4 is not finite at part of the scan, which certifies nothing
+    assert critical_wavenumber(Model.FDSW2, 1e152).kappa_c == pytest.approx(1.0733, abs=1e-4)
+    with pytest.raises(ValueError, match=r"bond=1e\+154: i4 overflows"):
+        critical_wavenumber(Model.FDSW2, 1e154)
 
 
 @pytest.mark.parametrize("bond", [math.nan, math.inf, -1.0])
@@ -409,10 +437,8 @@ def test_large_T_validates_sequence():
     [
         lambda T: critical_wavenumber(Model.FDSW2, T),
         lambda T: classify_intervals(Model.FDSW2, T, 0.05, 30.0),
-        lambda T: large_T_limit(Model.FDSW2, (T,)),
-        lambda T: large_T_limit(Model.FDSW2, (1.0, T)),
     ],
-    ids=["critical", "intervals", "limit-single", "limit-sequence"],
+    ids=["critical", "intervals"],
 )
 def test_bad_bond_rejected_by_value_before_any_scan(monkeypatch, call, bond):
     def no_scan(*_):
@@ -421,15 +447,6 @@ def test_bad_bond_rejected_by_value_before_any_scan(monkeypatch, call, bond):
     monkeypatch.setattr(fdsw.analysis, "_factor_roots", no_scan)
     with pytest.raises(ValueError, match=f"bond must be finite and nonnegative, got {bond!r}"):
         call(bond)
-
-
-@pytest.mark.parametrize("name", ["conv_tol"])
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
-def test_large_T_rejects_meaningless_tolerances(name, tol):
-    # an infinite conv_tol would call any two-point sequence converged, and a
-    # negative or nan one would switch the verdict off without a word
-    with pytest.raises(ValueError, match=name):
-        large_T_limit(Model.FDCH, (0.01, 0.02), **{name: tol})
 
 
 def test_intervals_fdsw2_low_tension():

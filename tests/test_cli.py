@@ -79,12 +79,27 @@ def test_critical_limit_protocol(capsys):
     code, out, _ = run_cli(capsys, "critical", "--model", "fdsw1", "--limit", "--format", "json")
     assert code == 0
     record = json.loads(out)
-    assert record["verdict"] == "Converged"
     assert record["limit"] == pytest.approx(1.054, abs=0.01)
 
-    code, out, _ = run_cli(capsys, "critical", "--model", "fdsw2", "--limit", "--format", "json")
-    record = json.loads(out)
-    assert record["verdict"] == "Divergent"
+    code, out, _ = run_cli(capsys, "critical", "--model", "fdsw2", "--limit")
+    assert code == 0
+    assert out == "limit = none\n"
+
+
+@pytest.mark.parametrize("model,bond", [("fdsw1", "1.2e8"), ("fdch", "1.7e8")])
+def test_critical_below_min_kappa_prints_a_number(capsys, model, bond):
+    # kappa_c ~ y_inf/sqrt(T) is below MIN_KAPPA = 1e-4 here
+    code, out, err = run_cli(capsys, "critical", "--model", model, "--bond", bond)
+    assert code == 0 and err == ""
+    kappa_c = float(out.split("\n")[1].split(",")[1])
+    assert 9e-5 < kappa_c < 1e-4
+
+
+def test_critical_limit_excludes_bond(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["critical", "--limit", "--bond", "1"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_intervals_command(capsys):
@@ -356,8 +371,6 @@ INVALID = {
     ("index", "--kappa", "0"): "0.0",
     ("index", "--kappa", "1", "--bond", "-1"): "-1.0",
     ("critical", "--bond", "-1"): "-1.0",
-    ("critical", "--limit", "--bond", "nan"): "nan",
-    ("critical", "--limit", "--bond", "1", "--bond", "nan"): "nan",
     ("diagram", "--kmax", "nan", "--out", "unused.csv"): "nan",
     ("diagram", "--kmax", "0", "--out", "unused.csv"): "0.0",
     ("diagram", "--ymax", "1e200", "--out", "unused.csv"): "1e+200",
@@ -375,6 +388,8 @@ INVALID = {
     ("intervals", "--bond", "0.2", "--k-lo", "5", "--k-hi", "2"): "5.0, 2.0",
     ("intervals", "--bond", "nan"): "nan",
     ("intervals", "--bond", "-1"): "-1.0",
+    ("critical", "--bond", "inf"): "inf",
+    ("intervals", "--bond", "inf"): "inf",
 }
 
 
@@ -470,10 +485,11 @@ def test_diagram_io_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ("critical", "--model", "fdch", "--limit", "--bond", "0.01", "--bond", "0.02",
-         "--conv-tol", "inf"),
-        ("critical", "--limit", "--conv-tol", "-1"),
-        ("critical", "--limit", "--conv-tol", "nan"),
+        # i4 overflows on part of the scan: no threshold and no divergence
+        ("critical", "--model", "fdsw2", "--bond", "1e154"),
+        ("critical", "--model", "fdsw2", "--bond", "1e300"),
+        # nothing is printed for the bond scanned before the failing one
+        ("critical", "--model", "fdsw2", "--bond", "0", "--bond", "1e154"),
         # the cap is enforced by validation, before any grid is allocated
         ("diagram", "--resolution", str(MAX_RESOLUTION + 1), "--out", "unused.csv"),
         # rejected before any array work: no numpy warning precedes the error
@@ -512,9 +528,8 @@ CONTRACT = {
     ),
     "critical-limit": (
         ("critical", "--model", "fdsw1", "--limit"),
-        ["command", "model", "bonds", "kappa_c", "kappa_c_scaled", "verdict", "limit"],
-        ["bond,kappa_c,kappa_c_scaled", *(f"{T},({NUM}),({NUM})" for T in (1, 10, 100, 1000)),
-         f"verdict = Converged ({NUM})"],
+        ["command", "model", "limit"],
+        [f"limit = ({NUM})"],
     ),
     "intervals": (
         ("intervals", "--bond", "0.2"),
