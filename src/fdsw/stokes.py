@@ -102,21 +102,6 @@ def wave_train(amplitude: float, kappa: float, bond: float) -> WaveTrain:
     )
 
 
-def check_resonance_admissible(kappa: float, bond: float, n_max: int) -> list[int]:
-    """Harmonics n in 2..n_max with c(n*kappa) within the pole guard of c(kappa).
-
-    An empty list certifies the nondegeneracy condition c(k) != c(n*k) up to
-    n_max, under which the traveling-wave family exists.
-    """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max!r}")
-    s = eval_dispersion(kappa, bond)
-    # c(kappa) - c(n*kappa) has the scale of c, not of c**2
-    return [
-        n for n in range(2, n_max + 1) if near_pole(s.c - eval_dispersion(n * kappa, bond).c, s.c)
-    ]
-
-
 def _convolution_matrix(f: np.ndarray, modes: int) -> np.ndarray:
     """Multiplication by the cosine series f on exponential modes -modes..modes.
 

@@ -134,11 +134,11 @@ def test_oracle_triangle(acceptance_report):
     for kappa, bond in probe_points():
         n_points += 1
         from_index = "U" if index(Model.FDSW2, kappa, bond).delta < 0.0 else "S"
-        from_quartic = classify_band(1e-2, 1e-2, kappa, bond).value
+        from_pencil = classify_band(1e-2, 1e-2, kappa, bond).value
         growth = growth_rate_band(1e-2, 1e-2, kappa, bond, 32)
         from_hill = "U" if growth > growth_threshold(1e-2) else "S"
-        if not (from_index == from_quartic == from_hill):
-            disagreements.append((kappa, bond, from_index, from_quartic, from_hill))
+        if not (from_index == from_pencil == from_hill):
+            disagreements.append((kappa, bond, from_index, from_pencil, from_hill))
     elapsed = time.perf_counter() - start
     ok = not disagreements and elapsed < 30.0 and n_points >= 20
     acceptance_report(

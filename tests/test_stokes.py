@@ -8,7 +8,6 @@ from fdsw.factors import Branch, Model, factor_i3
 from fdsw.stokes import (
     POLISH_MODES,
     ResonanceError,
-    check_resonance_admissible,
     cos_product_matrix,
     harmonic_coeffs,
     polish_wave,
@@ -109,27 +108,6 @@ def test_residual_cubic_scaling():
 def test_residual_requires_enough_modes():
     with pytest.raises(ValueError):
         residual_periodic(wave_train(0.01, 1.0, 0.0), 3)
-
-
-def test_admissibility_monotone_cases():
-    assert check_resonance_admissible(1.0, 0.0, 10) == []
-    assert check_resonance_admissible(1.0, 10.0, 10) == []
-
-
-def test_admissibility_detects_wilton_point():
-    wilton = bisect_wilton(0.2, 1.0, 1.5)
-    assert check_resonance_admissible(wilton, 0.2, 5) == [2]
-
-
-def test_admissibility_guard_scales_with_c():
-    # at T = 1e21, c(1) and c(2) differ by about 1.6e10: far from resonance
-    assert check_resonance_admissible(1.0, 1e21, 4) == []
-    assert check_resonance_admissible(1.0, 1e18, 4) == []
-
-
-def test_admissibility_rejects_bad_n_max():
-    with pytest.raises(ValueError):
-        check_resonance_admissible(1.0, 0.0, 1)
 
 
 def test_h2_pole_coincides_with_i3_root():
