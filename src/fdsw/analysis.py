@@ -16,6 +16,7 @@ pass when few brackets are left.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +55,10 @@ LIMIT_BOND = 1e100
 # Bond numbers (rays through the origin) along which the diagram's mechanism
 # curves are traced, T = 0 among them.
 CURVE_SAMPLES = 200
+
+# Smallest kappa of the curves' scan, [CURVE_K_MIN, kmax].  A diagram needs
+# kmax above it, so its first grid node kmax/resolution is at least 5e-7.
+CURVE_K_MIN = 1e-3
 
 # Points per factor pass of the bisection.  A factor pass on one point costs
 # nearly as much as one on a few hundred (about 0.08 against 0.11 ms for 511
@@ -400,14 +405,6 @@ def classify_intervals(
 
 
 @dataclass(frozen=True)
-class GridPoint:
-    kappa: float
-    kappa_sqrtT: float
-    bond: float
-    label: str
-
-
-@dataclass(frozen=True)
 class MechanismCurve:
     mechanism: str  # R1..R4
     points: list[tuple[float, float]]  # (kappa, kappa*sqrt(T)), ordered by T
@@ -432,54 +429,41 @@ class StabilityDiagram:
         """The (n, n) object array of label strings, as ``index_labels`` gives."""
         return _LABELS[self.codes]
 
-    @property
-    def grid(self) -> list[GridPoint]:
-        """The nodes as a list, kappa varying slowest."""
-        ys = self.ys.tolist()
-        return [
-            GridPoint(kappa=k, kappa_sqrtT=y, bond=b, label=lab)
-            for k, bonds, labels in zip(self.kappas.tolist(), self.bonds.tolist(), self.labels)
-            for y, b, lab in zip(ys, bonds, labels.tolist())
-        ]
-
 
 def stability_diagram(
-    model: Model,
-    k_range: tuple[float, float] = (0.0, 3.0),
-    ksqrtT_range: tuple[float, float] = (0.0, 3.0),
-    resolution: int = 600,
+    model: Model, kmax: float = 3.0, ymax: float = 3.0, resolution: int = 600
 ) -> StabilityDiagram:
     """Classified grid plus mechanism curves in the (kappa, kappa*sqrt(T)) plane.
 
-    Grid nodes exclude kappa = 0 (the left edge is open); rows are ordered
-    by kappa then kappa*sqrt(T).  Curves are traced by fixed-T root finding
-    in kappa, converted to the scaled plane.
+    The window is (0, kmax] x [0, ymax], anchored at the origin.  Node
+    (i, j) of the grid sits at kappa = kmax*(i + 1)/resolution (kappa = 0
+    is left out) and kappa*sqrt(T) = ymax*j/(resolution - 1).  Curves are
+    traced by fixed-T root finding in kappa on [CURVE_K_MIN, kmax],
+    converted to the scaled plane.  Before any grid or scan work, a
+    ValueError naming the window rejects it unless 0 < ymax < inf and
+    CURVE_K_MIN < kmax <= MAX_KAPPA, and unless the curves' largest Bond
+    number (ymax/CURVE_K_MIN)**2 is a positive float; a Bond number beyond
+    float range, in the curves or the grid, is rejected the same way.
     """
     model = Model(model)
-    if not 2 <= resolution <= MAX_RESOLUTION:
+    if not (isinstance(resolution, numbers.Integral) and 2 <= resolution <= MAX_RESOLUTION):
         raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution!r}")
-    k_lo, k_hi = k_range
-    y_lo, y_hi = ksqrtT_range
-    window = f"window {k_range!r} x {ksqrtT_range!r}"
-    finite = all(math.isfinite(v) for v in (*k_range, *ksqrtT_range))
-    if not (finite and k_hi > k_lo >= 0.0 and y_hi > y_lo >= 0.0):
+    window = f"window (0.0, {kmax!r}) x (0.0, {ymax!r})"
+    if not 0.0 < ymax < math.inf:
         raise ValueError(f"{window} needs finite ranges with 0 <= lo < hi")
-    kappas = k_lo + np.arange(1, resolution + 1) * (k_hi - k_lo) / resolution
-    ys = y_lo + np.arange(resolution) * (y_hi - y_lo) / (resolution - 1)
-    scan_lo = max(k_lo, 1e-3)
-    if not kappas[0] > 0.0:
-        raise ValueError(f"{window} is too narrow: its first kappa node underflows to 0")
-    if not scan_lo < k_hi <= MAX_KAPPA:
+    if not CURVE_K_MIN < kmax <= MAX_KAPPA:
         raise ValueError(
-            f"{window}: its curves are scanned on [{scan_lo!r}, kmax], "
-            f"which needs {scan_lo!r} < kmax <= {MAX_KAPPA:g}"
+            f"{window}: its curves are scanned on [{CURVE_K_MIN!r}, kmax], "
+            f"which needs {CURVE_K_MIN!r} < kmax <= {MAX_KAPPA:g}"
         )
+    kappas = np.arange(1, resolution + 1) * kmax / resolution
+    ys = np.arange(resolution) * ymax / (resolution - 1)
     try:
-        t_max = (y_hi / scan_lo) ** 2
+        t_max = (ymax / CURVE_K_MIN) ** 2
         if not t_max > 0.0:
             raise ValueError(
                 f"{window} is too narrow: the curves' largest Bond number "
-                f"(ymax/{scan_lo!r})**2 underflows to 0"
+                f"(ymax/{CURVE_K_MIN!r})**2 underflows to 0"
             )
         # T = (y/kappa)**2 as Python's float ** computes it: np.float_power
         # calls libm pow, as ** does, while numpy's square (x*x) and its
@@ -499,9 +483,9 @@ def stability_diagram(
     # Fixed T is a ray of slope sqrt(T) through the origin; each mechanism
     # curve is swept by bisecting its factor along rays of increasing slope.
     rays = np.array([0.0] + list(np.geomspace(1e-4, t_max, CURVE_SAMPLES - 1)))
-    found = _factor_roots(model, MECHANISM_FACTORS, rays, _scan_grid(scan_lo, k_hi, 400))
+    found = _factor_roots(model, MECHANISM_FACTORS, rays, _scan_grid(CURVE_K_MIN, kmax, 400))
     y = found.root * np.sqrt(rays[found.ray])
-    keep = (y_lo <= y) & (y <= y_hi)
+    keep = y <= ymax
     curves = []
     for row, which in enumerate(MECHANISM_FACTORS):
         sel = keep & (found.factor == row)

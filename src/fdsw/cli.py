@@ -131,12 +131,7 @@ def _curves_path(args: argparse.Namespace) -> str:
 
 def _cmd_diagram(args: argparse.Namespace) -> tuple[None, list[str]]:
     curves_out = _curves_path(args)
-    diagram = stability_diagram(
-        args.model,
-        k_range=(0.0, args.kmax),
-        ksqrtT_range=(0.0, args.ymax),
-        resolution=args.resolution,
-    )
+    diagram = stability_diagram(args.model, args.kmax, args.ymax, args.resolution)
     # A block of kappa rows at a time, each node's ",y,T,label\n" is joined
     # by numpy string arrays: the y pieces are formatted once per diagram,
     # format_g17 prints the Bond numbers exactly as _fmt does without a call

@@ -34,6 +34,7 @@ the radius filter ORIGIN_RADIUS_FACTOR instead.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,7 +101,7 @@ def _check_problem(xis, amplitude: float, kappa: float, bond: float, n_modes: in
     """Raise ValueError, naming the value, unless the problem is well posed."""
     check_domain(kappa, bond)
     check_finite([*(("xi", xi) for xi in xis), ("amplitude", amplitude)])
-    if not 8 <= n_modes <= MAX_N_MODES:
+    if not (isinstance(n_modes, numbers.Integral) and 8 <= n_modes <= MAX_N_MODES):
         raise ValueError(f"n_modes must be in [8, {MAX_N_MODES}], got {n_modes!r}")
 
 

@@ -500,13 +500,14 @@ def test_intervals_fdsw2_no_tension_and_high_tension():
 
 def test_diagram_grid_and_curves():
     diagram = stability_diagram(Model.FDSW2, resolution=60)
-    assert len(diagram.grid) == 3600
-    # row-major: kappa varies slowest
-    assert diagram.grid[0].kappa == diagram.grid[1].kappa
+    assert diagram.labels.shape == (60, 60)
+    # node (i, j) sits at kappa = kappas[i], y = ys[j]
+    assert diagram.bonds[0, 1] == (diagram.ys[1] / diagram.kappas[0]) ** 2
     # the node (kappa=2, y=0) is unstable at T=0
-    node = next(p for p in diagram.grid if p.kappa == pytest.approx(2.0) and p.kappa_sqrtT == 0.0)
-    assert node.bond == 0.0
-    assert node.label == "U"
+    i = int(np.argmin(np.abs(diagram.kappas - 2.0)))
+    assert diagram.kappas[i] == pytest.approx(2.0) and diagram.ys[0] == 0.0
+    assert diagram.bonds[i, 0] == 0.0
+    assert diagram.labels[i, 0] == "U"
     # R4 curve crosses the kappa-axis at the critical wave number
     r4 = next(c for c in diagram.curves if c.mechanism == "R4")
     axis_points = [k for k, y in r4.points if y == 0.0]
@@ -517,20 +518,21 @@ def test_diagram_grid_and_curves():
 def test_diagram_inconclusive_on_bond_third_line():
     # a 2x2 grid whose node (1.5, 1.5/sqrt(3)) lies on the line T = 1/3
     y = 1.5 / math.sqrt(3.0)
-    diagram = stability_diagram(
-        Model.FDSW2, k_range=(0.0, 1.5), ksqrtT_range=(0.0, y), resolution=2
-    )
-    node = next(p for p in diagram.grid if p.kappa == 1.5 and p.kappa_sqrtT == y)
-    assert abs(node.bond - 1.0 / 3.0) < 1e-9
-    assert node.label == "Inconclusive"
+    diagram = stability_diagram(Model.FDSW2, kmax=1.5, ymax=y, resolution=2)
+    assert diagram.kappas[1] == 1.5 and diagram.ys[1] == y
+    assert abs(diagram.bonds[1, 1] - 1.0 / 3.0) < 1e-9
+    assert diagram.labels[1, 1] == "Inconclusive"
 
 
 @pytest.mark.parametrize("model", list(Model))
 def test_diagram_grid_matches_scalar_index(model):
     diagram = stability_diagram(model, resolution=25)
-    for p in diagram.grid:
-        assert p.bond == (p.kappa_sqrtT / p.kappa) ** 2
-        assert p.label == index(model, p.kappa, p.bond).classification
+    for kappa, bonds, labels in zip(
+        diagram.kappas.tolist(), diagram.bonds.tolist(), diagram.labels.tolist()
+    ):
+        for y, bond, label in zip(diagram.ys.tolist(), bonds, labels):
+            assert bond == (y / kappa) ** 2
+            assert label == index(model, kappa, bond).classification
 
 
 def _one_pass_grid(model, kappas, ys):
@@ -553,10 +555,7 @@ def test_blocked_grid_matches_one_pass_reference(monkeypatch, model, block_nodes
     assert resolution % (GRID_BLOCK_NODES // resolution) > 0  # a short last block
     wilton = find_factor_roots(Model.FDSW2, "i3", 0.2, 1.0, 1.5)[0]
     diagram = stability_diagram(
-        model,
-        k_range=(0.0, wilton),
-        ksqrtT_range=(0.0, wilton * math.sqrt(0.2)),
-        resolution=resolution,
+        model, kmax=wilton, ymax=wilton * math.sqrt(0.2), resolution=resolution
     )
     bonds, labels = _one_pass_grid(model, diagram.kappas, diagram.ys)
     assert diagram.bonds.tobytes() == bonds.tobytes()
@@ -607,7 +606,7 @@ def test_diagram_codes_are_uint8_and_name_the_index_labels(model):
     # second-harmonic resonance at T = 0.2 (NearPole)
     wilton = find_factor_roots(Model.FDSW2, "i3", 0.2, 1.0, 1.5)[0]
     for k_max, y_max, resolution in ((3.0, 3.0, 60), (wilton, wilton * math.sqrt(0.2), 50)):
-        diagram = stability_diagram(model, (0.0, k_max), (0.0, y_max), resolution)
+        diagram = stability_diagram(model, k_max, y_max, resolution)
         assert diagram.codes.dtype == np.uint8
         assert diagram.codes.shape == (resolution, resolution)
         labels = index_labels(model, diagram.kappas[:, None], diagram.bonds)
@@ -639,11 +638,9 @@ def test_batched_labels_match_index_at_guarded_nodes(model):
 def test_diagram_curves_lie_on_grid_label_boundaries():
     diagram = stability_diagram(Model.FDSW2, resolution=100)
     res = 100
-    ys = [p.kappa_sqrtT for p in diagram.grid[:res]]
-    kappas = [diagram.grid[i * res].kappa for i in range(res)]
-    labels = {}
-    for p in diagram.grid:
-        labels[(p.kappa, p.kappa_sqrtT)] = p.label
+    ys = diagram.ys.tolist()
+    kappas = diagram.kappas.tolist()
+    labels = diagram.labels
     checked = 0
     for curve in diagram.curves:
         for k, y in curve.points:
@@ -652,7 +649,7 @@ def test_diagram_curves_lie_on_grid_label_boundaries():
             i = min(range(len(kappas)), key=lambda idx: abs(kappas[idx] - k))
             j = min(range(len(ys)), key=lambda idx: abs(ys[idx] - y))
             seen = {
-                labels[(kappas[ii], ys[jj])]
+                labels[ii, jj]
                 for ii in range(max(0, i - 2), min(res, i + 3))
                 for jj in range(max(0, j - 2), min(res, j + 3))
             }
@@ -661,15 +658,27 @@ def test_diagram_curves_lie_on_grid_label_boundaries():
     assert checked > 20
 
 
-def test_diagram_validates_inputs():
+def _no_work(*args, **kwargs):
+    raise AssertionError("an invalid input reached the grid or a scan")
+
+
+def test_diagram_validates_inputs(monkeypatch):
+    # a numpy integer is an integer size
+    assert stability_diagram(Model.FDSW2, resolution=np.int64(2)).codes.shape == (2, 2)
+    # each is rejected by value before any grid or factor scan
+    monkeypatch.setattr(fdsw.analysis, "_label_codes", _no_work)
+    monkeypatch.setattr(fdsw.analysis, "_factor_roots", _no_work)
     with pytest.raises(ValueError):
         stability_diagram(Model.FDSW2, resolution=1)
     with pytest.raises(ValueError):
-        stability_diagram(Model.FDSW2, k_range=(2.0, 1.0))
+        stability_diagram(Model.FDSW2, kmax=-1.0)
     with pytest.raises(ValueError):
-        stability_diagram(Model.FDSW2, k_range=(0.0, math.inf))
+        stability_diagram(Model.FDSW2, kmax=math.inf)
     with pytest.raises(ValueError):
-        stability_diagram(Model.FDSW2, ksqrtT_range=(0.0, math.nan))
+        stability_diagram(Model.FDSW2, ymax=math.nan)
+    # a size is an integer: a float one is rejected by value, not inside numpy
+    with pytest.raises(ValueError, match=r"^resolution must be in \[2, 2000\], got 600\.0$"):
+        stability_diagram(Model.FDSW2, resolution=600.0)
 
 
 def test_diagram_resolution_cap():

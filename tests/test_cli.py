@@ -191,7 +191,7 @@ def test_diagram_files(tmp_path, capsys):
 
 
 def test_diagram_csv_matches_grid_points(tmp_path, capsys):
-    # the CSV equals one line per GridPoint with every field formatted by
+    # the CSV equals one line per grid node with every field formatted by
     # _fmt, on windows whose numbers print with e+ and e- exponents, with a
     # Bond number of 0 and with every label
     wilton = find_factor_roots(Model.FDSW2, "i3", 0.2, 1.0, 1.5)[0]
@@ -211,17 +211,18 @@ def test_diagram_csv_matches_grid_points(tmp_path, capsys):
             "--kmax", repr(kmax), "--ymax", repr(ymax), "--resolution", str(resolution),
         )
         assert code == 0 and err == ""
-        diagram = stability_diagram(
-            model, k_range=(0.0, kmax), ksqrtT_range=(0.0, ymax), resolution=resolution
-        )
+        diagram = stability_diagram(model, kmax, ymax, resolution)
         lines = ["kappa,kappa_sqrtT,bond,label"] + [
-            f"{_fmt(p.kappa)},{_fmt(p.kappa_sqrtT)},{_fmt(p.bond)},{p.label}"
-            for p in diagram.grid
+            f"{_fmt(kappa)},{_fmt(y)},{_fmt(bond)},{label}"
+            for kappa, row_bonds, row_labels in zip(
+                diagram.kappas.tolist(), diagram.bonds.tolist(), diagram.labels.tolist()
+            )
+            for y, bond, label in zip(diagram.ys.tolist(), row_bonds, row_labels)
         ]
         expected = "\n".join(lines) + "\n"
         assert out_path.read_bytes() == expected.encode()
         text += expected
-        labels |= {p.label for p in diagram.grid}
+        labels |= set(diagram.labels.ravel())
     assert labels == {"S", "U", "NearPole", "Inconclusive", "OutsideValidity"}
     assert "e+" in text and "e-" in text
     assert re.search(r",0,[A-Za-z]+\n", text)
@@ -232,15 +233,27 @@ REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 @pytest.mark.parametrize("model", ["fdsw2", "whitham"])
 def test_diagram_grid_bytes_match_bench_reference(tmp_path, capsys, model):
-    # the benchmark's byte contract: the grid CSV of its diagram workload
+    # the benchmark's contract for its diagram workload: the grid CSV byte
+    # for byte, and every curve point exactly (the benchmark allows 1e-9)
     reference = json.loads((REFERENCE_DIR / f"diagram-{model}.json").read_text())
-    out_path = tmp_path / "grid.csv"
+    out_path, curves_path = tmp_path / "grid.csv", tmp_path / "curves.csv"
     code, _, _ = run_cli(
         capsys, "diagram", "--model", model, "--out", str(out_path),
+        "--curves-out", str(curves_path),
         "--resolution", str(reference["resolution"]), "--kmax", "3.0", "--ymax", "3.0",
     )
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == reference["grid_sha256"]
+    header, *lines = curves_path.read_text().splitlines()
+    assert header == "mechanism,kappa,kappa_sqrtT"
+    curves = {}
+    for line in lines:
+        mechanism, kappa, y = line.split(",")
+        curves.setdefault(mechanism, []).append([float(kappa), float(y)])
+    assert {m: len(p) for m, p in curves.items()} == {
+        m: len(p) for m, p in reference["curves"].items()
+    }
+    assert curves == reference["curves"]
 
 
 def percent_template_grid(diagram) -> bytes:
@@ -278,9 +291,7 @@ def test_diagram_grid_bytes_match_percent_template(tmp_path, capsys, model, kmax
         "--kmax", repr(kmax), "--ymax", repr(ymax), "--resolution", str(resolution),
     )
     assert code == 0 and err == ""
-    diagram = stability_diagram(
-        model, k_range=(0.0, kmax), ksqrtT_range=(0.0, ymax), resolution=resolution
-    )
+    diagram = stability_diagram(model, kmax, ymax, resolution)
     assert out_path.read_bytes() == percent_template_grid(diagram)
     bonds = diagram.bonds[diagram.bonds > 0.0]
     if resolution < 600:  # the window reaches the branch it is here for

@@ -140,13 +140,18 @@ def test_n_modes_validation():
          "kappa must be finite and positive, got nan"),
         (growth_rate, (0.0, 0.0, 1.0, -5.0, 3), "bond must be finite and nonnegative, got -5.0"),
         (growth_rate, (0.0, 0.0, 1.0, 0.0, 7), "n_modes must be in [8, 256], got 7"),
+        # a size is an integer: a float one is rejected by value, not inside numpy
+        (growth_rate, (0.01, 0.01, 2.0, 0.0, 16.5), "n_modes must be in [8, 256], got 16.5"),
         (growth_rate_band, (0.0, 0.0, 1.0, 0.0, MAX_N_MODES + 1), f"got {MAX_N_MODES + 1}"),
         (growth_rate, (math.nan, 0.01, 1.0, 0.0, 32), "xi must be finite, got nan"),
         (growth_rate, (0.01, math.nan, 1.0, 0.0, 32), "amplitude must be finite, got nan"),
         (growth_rate_band, (math.inf, 0.01, 1.0, 0.0, 32), "xi must be finite, got inf"),
         (assemble, (0.01, math.inf, 1.0, 0.0, 32), "amplitude must be finite, got inf"),
     ],
-    ids=["kappa", "bond", "n_modes", "n_modes-band", "xi", "amplitude", "xi-band", "assemble"],
+    ids=[
+        "kappa", "bond", "n_modes", "n_modes-float", "n_modes-band", "xi", "amplitude", "xi-band",
+        "assemble",
+    ],
 )
 def test_growth_rate_checks_its_arguments_before_any_polish(monkeypatch, func, args, message):
     def no_polish(*_):
@@ -160,6 +165,8 @@ def test_growth_rate_checks_its_arguments_before_any_polish(monkeypatch, func, a
 
 def test_unperturbed_growth_is_zero():
     assert growth_rate(0.0, 0.0, 2.0, 0.0, 32) == 0.0
+    # a numpy integer is an integer size
+    assert growth_rate(0.0, 0.0, 2.0, 0.0, np.int64(32)) == 0.0
     assert growth_rate_band(0.0, 0.0, 2.0, 0.0, 32) == 0.0
 
 
