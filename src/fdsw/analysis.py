@@ -41,9 +41,9 @@ ROOT_TOL = 1e-10
 MIN_KAPPA = 1e-4
 MAX_KAPPA = 1e150
 
-# critical_wavenumber scans i4 on [MIN_KAPPA, CRITICAL_K_MAX], then once on
-# [MIN_KAPPA, 4*CRITICAL_K_MAX], and for T > 1 once more in y = kappa*sqrt(T)
-# on [MIN_KAPPA, CRITICAL_K_MAX], before it certifies divergence.
+# The window of critical_wavenumber and large_T_limit: i4 is scanned on
+# [MIN_KAPPA, CRITICAL_K_MAX] in kappa and, for T > 1, on the same grid in
+# y = kappa*sqrt(T); a divergence certificate covers both scans.
 CRITICAL_K_MAX = 50.0
 
 # The Bond number at which large_T_limit scans i4 in y.  Its corrections to
@@ -307,20 +307,26 @@ class CriticalResult:
         return self.kappa_c is None
 
 
+def _critical_scan(model: Model, bond: float, scale: float) -> _Roots:
+    """The roots of i4 at ``bond`` in s = kappa*scale on [MIN_KAPPA, CRITICAL_K_MAX]."""
+    grid = _scan_grid(MIN_KAPPA, CRITICAL_K_MAX, SCAN_POINTS)
+    return _factor_roots(model, ("i4",), [bond], grid, scale)
+
+
 def critical_wavenumber(model: Model, bond: float) -> CriticalResult:
     """Smallest root of i4 (mechanism R4) at fixed Bond number.
 
     For T = 0 and T > 1/3 this root is unique and is the threshold above
-    which small wave trains are modulationally unstable.  If no sign change
-    exists up to CRITICAL_K_MAX, the scan is extended once to
-    4*CRITICAL_K_MAX.  For T > 1 it then scans once more in y = kappa*sqrt(T)
-    on [MIN_KAPPA, CRITICAL_K_MAX], which reaches the thresholds
-    kappa_c ~ y/sqrt(T) below MIN_KAPPA that a large T gives.  Only where i4
-    was finite at every scan node of every window is a divergence
-    certificate (kappa_c = None) returned; otherwise ValueError names the
-    bond.  A scan node where i4 is exactly zero is returned as is, with a
-    zero-width bracket.  Before any scan, a bond on the line T = 1/3 raises
-    InconclusiveBondError and one not finite and >= 0 raises ValueError.
+    which small wave trains are modulationally unstable.  i4 is scanned on
+    [MIN_KAPPA, CRITICAL_K_MAX] in kappa and, for T > 1 where that finds no
+    root, on the same grid in y = kappa*sqrt(T), which reaches the
+    thresholds kappa_c ~ y/sqrt(T) below MIN_KAPPA that a large T gives.
+    Where no scan finds a root and i4 was finite at every scanned node, the
+    result certifies divergence on the windows scanned (kappa_c = None);
+    otherwise ValueError names the bond.  A scan node where i4 is
+    exactly zero is returned as is, with a zero-width bracket.  Before any
+    scan, a bond on the line T = 1/3 raises InconclusiveBondError and one
+    not finite and >= 0 raises ValueError.
     """
     check_domain(None, bond)
     if on_bond_third(bond):
@@ -328,18 +334,12 @@ def critical_wavenumber(model: Model, bond: float) -> CriticalResult:
             f"bond={bond!r} is on the T=1/3 line where the index is inconclusive"
         )
     model = Model(model)
-    windows = [(CRITICAL_K_MAX, 1.0), (4.0 * CRITICAL_K_MAX, 1.0)]
-    if bond > 1.0:
-        windows.append((CRITICAL_K_MAX, math.sqrt(bond)))
     finite = True
-    for s_hi, scale in windows:
-        grid = _scan_grid(MIN_KAPPA, s_hi, SCAN_POINTS)
-        found = _factor_roots(model, ("i4",), [bond], grid, scale)
+    for scale in (1.0, math.sqrt(bond)) if bond > 1.0 else (1.0,):
+        found = _critical_scan(model, bond, scale)
         if found.root.size:
             return CriticalResult(
-                model=model,
-                bond=bond,
-                kappa_c=float(found.root[0]) / scale,
+                model=model, bond=bond, kappa_c=float(found.root[0]) / scale,
                 bracket=(float(found.lo[0]) / scale, float(found.hi[0]) / scale),
                 iterations=int(found.iterations[0]),
             )
@@ -366,15 +366,13 @@ def large_T_limit(model: Model) -> LimitEstimate:
 
     The scaled threshold is the ordinate of the R4 curve in the
     (kappa, kappa*sqrt(T)) plane, the quantity with a finite large-T limit
-    for the models that have one (fdsw1, fdch).  It is found as
-    critical_wavenumber finds a threshold at large T, in y on
-    [MIN_KAPPA, CRITICAL_K_MAX], at LIMIT_BOND, where i4 equals its limit
-    to the last ulp.  No root there is ``limit = None``: the threshold of
+    for the models that have one (fdsw1, fdch).  It is found by the scan in
+    y of critical_wavenumber, at LIMIT_BOND, where i4 equals its limit to
+    the last ulp.  No root there is ``limit = None``: the threshold of
     whitham and fdsw2 grows without bound in y.
     """
     model = Model(model)
-    grid = _scan_grid(MIN_KAPPA, CRITICAL_K_MAX, SCAN_POINTS)
-    found = _factor_roots(model, ("i4",), [LIMIT_BOND], grid, math.sqrt(LIMIT_BOND))
+    found = _critical_scan(model, LIMIT_BOND, math.sqrt(LIMIT_BOND))
     if not found.root.size:
         return LimitEstimate(model=model, limit=None, bracket=None)
     return LimitEstimate(
@@ -450,7 +448,7 @@ def stability_diagram(
         raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution!r}")
     window = f"window (0.0, {kmax!r}) x (0.0, {ymax!r})"
     if not 0.0 < ymax < math.inf:
-        raise ValueError(f"{window} needs finite ranges with 0 <= lo < hi")
+        raise ValueError(f"{window} needs 0 < ymax < inf")
     if not CURVE_K_MIN < kmax <= MAX_KAPPA:
         raise ValueError(
             f"{window}: its curves are scanned on [{CURVE_K_MIN!r}, kmax], "

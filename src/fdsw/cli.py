@@ -40,8 +40,6 @@ def _validate(args: argparse.Namespace) -> None:
             f"hill: the spectrum is that of the fdsw2 system only, so it cannot check "
             f"the {args.model} index; use --model fdsw2"
         )
-    if args.command == "hill" and not abs(args.xi) <= 0.5:
-        raise ValueError(f"xi must be in [-1/2, 1/2], got {args.xi}")
     if args.command == "diagram":
         curves_out = _curves_path(args)
         if os.path.realpath(curves_out) == os.path.realpath(args.out):

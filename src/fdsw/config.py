@@ -42,8 +42,8 @@ def growth_threshold(amplitude: float) -> float:
 
 
 def near_pole(d, scale):
-    """True where |d| < POLE_TOL * (1 + scale), d a denominator of natural scale ``scale``."""
-    return abs(d) < POLE_TOL * (1.0 + scale)
+    """True where |d| < POLE_TOL * scale, d a denominator of natural scale ``scale``."""
+    return abs(d) < POLE_TOL * scale
 
 
 def on_bond_third(bond):

@@ -101,6 +101,8 @@ def _check_problem(xis, amplitude: float, kappa: float, bond: float, n_modes: in
     """Raise ValueError, naming the value, unless the problem is well posed."""
     check_domain(kappa, bond)
     check_finite([*(("xi", xi) for xi in xis), ("amplitude", amplitude)])
+    if any(abs(xi) > 0.5 for xi in xis):
+        raise ValueError(f"xi must be in [-1/2, 1/2], got {max(xis, key=abs)!r}")
     if not (isinstance(n_modes, numbers.Integral) and 8 <= n_modes <= MAX_N_MODES):
         raise ValueError(f"n_modes must be in [8, {MAX_N_MODES}], got {n_modes!r}")
 

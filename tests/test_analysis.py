@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import fdsw.analysis
 from fdsw.analysis import (
+    CRITICAL_K_MAX,
     GRID_BLOCK_NODES,
     MAX_RESOLUTION,
+    MIN_KAPPA,
     PASS_POINTS,
     ROOT_TOL,
     SCAN_POINTS,
@@ -367,6 +369,27 @@ def test_critical_wavenumber_frozen_bits(model, bond, kappa_c, lo, hi, iteration
     assert result.iterations == iterations
 
 
+def test_critical_scans_share_one_window(monkeypatch):
+    # i4 is scanned in kappa, then for T > 1 once in y, on one grid; the
+    # large-T limit scans that grid in y
+    grids = []
+    real = fdsw.analysis._factor_roots
+
+    def counting(model, which, bonds, grid, scale=1.0):
+        grids.append(grid)
+        return real(model, which, bonds, grid, scale)
+
+    monkeypatch.setattr(fdsw.analysis, "_factor_roots", counting)
+    assert critical_wavenumber(Model.WHITHAM, 1e30).divergent
+    assert len(grids) == 2
+    assert not critical_wavenumber(Model.FDSW2, 0.2).divergent
+    assert len(grids) == 3
+    assert large_T_limit(Model.FDSW1).limit is not None
+    assert len(grids) == 4
+    assert all(np.array_equal(grid, grids[0]) for grid in grids)
+    assert grids[0][0] == MIN_KAPPA and grids[0][-1] == CRITICAL_K_MAX
+
+
 def test_critical_wavenumber_rejects_bond_third():
     with pytest.raises(InconclusiveBondError):
         critical_wavenumber(Model.FDSW2, 1.0 / 3.0)
@@ -458,6 +481,17 @@ def test_intervals_fdsw2_low_tension():
     assert pieces[-1][0][1] == 30.0
     for (first, second) in zip(pieces[:-1], pieces[1:]):
         assert first[0][1] == second[0][0]
+
+
+def test_no_pole_where_c2_is_small():
+    # at T = 0 and large kappa c**2 ~ 1/kappa, and the pole guard is relative
+    # to that scale: no absolute floor flags a resonance there
+    for model in Model:
+        for kappa in (1e10, 1e20):
+            assert index(model, kappa, 0.0).classification == "U"
+            assert index_labels(model, kappa, 0.0) == "U"
+    (_, first), (last, label) = classify_intervals(Model.FDSW2, 0.0, 1e-4, 1e150)
+    assert (first, last[1], label) == ("S", 1e150, "U")
 
 
 @pytest.mark.parametrize(
@@ -674,8 +708,9 @@ def test_diagram_validates_inputs(monkeypatch):
         stability_diagram(Model.FDSW2, kmax=-1.0)
     with pytest.raises(ValueError):
         stability_diagram(Model.FDSW2, kmax=math.inf)
-    with pytest.raises(ValueError):
-        stability_diagram(Model.FDSW2, ymax=math.nan)
+    for ymax in (math.nan, -1.0):
+        with pytest.raises(ValueError, match=rf"x \(0\.0, {ymax!r}\) needs 0 < ymax < inf$"):
+            stability_diagram(Model.FDSW2, ymax=ymax)
     # a size is an integer: a float one is rejected by value, not inside numpy
     with pytest.raises(ValueError, match=r"^resolution must be in \[2, 2000\], got 600\.0$"):
         stability_diagram(Model.FDSW2, resolution=600.0)

@@ -364,6 +364,9 @@ def test_hill_xi_out_of_range_message(capsys):
         assert code == 2
         assert out == ""
         assert err == f"error: xi must be in [-1/2, 1/2], got {float(xi)}\n"
+    # the library checks finiteness first
+    code, out, err = run_cli(capsys, "hill", "--xi", "nan", "--amplitude", "0.01", "--kappa", "1")
+    assert (code, out, err) == (2, "", "error: xi must be finite, got nan\n")
 
 
 # Invalid invocations and the offending value each error message names.

@@ -147,10 +147,13 @@ def test_n_modes_validation():
         (growth_rate, (0.01, math.nan, 1.0, 0.0, 32), "amplitude must be finite, got nan"),
         (growth_rate_band, (math.inf, 0.01, 1.0, 0.0, 32), "xi must be finite, got inf"),
         (assemble, (0.01, math.inf, 1.0, 0.0, 32), "amplitude must be finite, got inf"),
+        (growth_rate, (0.6, 0.01, 1.0, 0.0, 32), "xi must be in [-1/2, 1/2], got 0.6"),
+        (growth_rate_band, (-0.6, 0.01, 1.0, 0.0, 32), "xi must be in [-1/2, 1/2], got -0.6"),
+        (assemble, (0.75, 0.01, 1.0, 0.0, 32), "xi must be in [-1/2, 1/2], got 0.75"),
     ],
     ids=[
         "kappa", "bond", "n_modes", "n_modes-float", "n_modes-band", "xi", "amplitude", "xi-band",
-        "assemble",
+        "assemble", "xi-range", "xi-range-band", "xi-range-assemble",
     ],
 )
 def test_growth_rate_checks_its_arguments_before_any_polish(monkeypatch, func, args, message):
