@@ -36,6 +36,7 @@ second harmonic 2*k).  These compute m = tanh(k)/k without its derivatives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -181,6 +182,24 @@ def check_finite(named_values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def second_harmonic(kappa):
+    """2*kappa, the wave number of the second harmonic, for a float or an array.
+
+    Raise ValueError, naming kappa (an array's first such element), where
+    2*kappa overflows.  Called after the domain check of kappa itself.
+    """
+    largest = sys.float_info.max / 2.0
+    if isinstance(kappa, np.ndarray):
+        over = kappa > largest
+        if over.any():
+            second_harmonic(float(kappa[over].flat[0]))
+    elif kappa > largest:
+        raise ValueError(
+            f"kappa must be at most {largest!r} so that 2*kappa is finite, got {kappa!r}"
+        )
+    return 2.0 * kappa
+
+
 def _domain_arrays(kappa, bond, zero_kappa: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``kappa`` and ``bond`` as float arrays, each point checked as by :func:`check_domain`."""
     kappa = np.asarray(kappa, dtype=float)
@@ -245,8 +264,6 @@ def eval_dispersion_squared(kappa: float, bond: float) -> float:
     mode of a periodic function).
     """
     check_domain(kappa, bond, zero_kappa=True)
-    if kappa == 0.0:
-        return 1.0
     return (1.0 + bond * kappa * kappa) * _pick(kappa, _ratio_series, _ratio_direct)
 
 

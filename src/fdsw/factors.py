@@ -39,6 +39,7 @@ from .dispersion import (
     eval_dispersion_array,
     eval_speed,
     eval_speed_array,
+    second_harmonic,
 )
 
 
@@ -101,15 +102,12 @@ def _factors(
 
 # The factors read only c and c2 at the second harmonic 2*kappa.
 def _samples(kappa: float, bond: float) -> tuple[DispersionSample, PhaseSpeed]:
-    return eval_dispersion(kappa, bond), eval_speed(2.0 * kappa, bond)
+    return eval_dispersion(kappa, bond), eval_speed(second_harmonic(kappa), bond)
 
 
 def _array_samples(kappa, bond) -> tuple[DispersionSample, PhaseSpeed]:
     kappa = np.asarray(kappa, dtype=float)
-    # above DBL_MAX/2 the doubled kappa is inf, which the domain check rejects
-    with np.errstate(over="ignore"):
-        kappa2 = 2.0 * kappa
-    return eval_dispersion_array(kappa, bond), eval_speed_array(kappa2, bond)
+    return eval_dispersion_array(kappa, bond), eval_speed_array(second_harmonic(kappa), bond)
 
 
 def factor_i1(kappa: float, bond: float) -> float:

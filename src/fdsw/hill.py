@@ -28,14 +28,15 @@ normalization.  They are found without the full spectrum: inverse subspace
 iteration on a six-column block, with M^-1 applied through a Schur
 complement of half the size, then Rayleigh-Ritz.  Each sideband's quartet is
 certified by its Ritz residuals; a sideband that fails the certificate, or
-cannot be solved this way (integer xi), takes the dense eigensolve of M with
-the radius filter ORIGIN_RADIUS_FACTOR instead.
+cannot be solved this way (integer xi), takes instead the four eigenvalues
+of smallest modulus of its dense M.  Either way the quartet is the same four
+eigenvalues, and the growth rate is read from it in one place.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,11 +49,6 @@ from .stokes import (
     polish_wave,
     wave_train,
 )
-
-# The dense solve (the fallback of the quartet solve, and its test
-# reference) keeps the eigenvalues within this multiple of (|xi| + |a|) of
-# the origin as the bifurcating branch; everything farther is discarded.
-ORIGIN_RADIUS_FACTOR = 10.0
 
 # Largest truncation accepted.  The dense real matrix M takes 8*(4N + 2)**2
 # bytes: 8.4 MB at N = 256 (its complex form L twice that).  The quartet
@@ -139,21 +135,18 @@ class _SidebandBlocks:
             conv_eta=_convolution_matrix(wave.eta_coeffs, n_modes),
         )
 
-    def take(self, rows) -> _SidebandBlocks:
-        """The blocks of the sidebands ``rows`` (an index or a mask)."""
-        return replace(self, scale=self.scale[rows], symbol=self.symbol[rows])
-
-    def dense(self) -> np.ndarray:
-        """M itself, (sidebands, 2*dim, 2*dim)."""
-        sidebands, dim = self.symbol.shape
+    def dense(self, rows=slice(None)) -> np.ndarray:
+        """M itself at the sidebands ``rows`` (an index or a mask), (sidebands, 2*dim, 2*dim)."""
+        symbol = self.symbol[rows]
+        sidebands, dim = symbol.shape
         diag = np.zeros((sidebands, dim, dim))
-        diag[:, np.arange(dim), np.arange(dim)] = self.symbol
+        diag[:, np.arange(dim), np.arange(dim)] = symbol
         block = np.empty((sidebands, 2 * dim, 2 * dim))
         block[:, :dim, :dim] = self.block_a
         block[:, :dim, dim:] = -diag - self.conv_eta
         block[:, dim:, :dim] = -np.eye(dim)
         block[:, dim:, dim:] = self.block_a
-        return self.scale * block
+        return self.scale[rows] * block
 
     def solver(self):
         """The map y -> M^-1 y; raises LinAlgError where a Schur complement is singular."""
@@ -194,81 +187,65 @@ def assemble(
     return HillProblem(xi=xi, n_modes=n_modes, real_matrix=blocks.dense()[0], wave=wave)
 
 
-def _dense_growth(real_matrix: np.ndarray, xi: float, amplitude: float) -> float:
-    """Growth at one sideband from every eigenvalue of M within the origin radius."""
-    radius = ORIGIN_RADIUS_FACTOR * (abs(xi) + abs(amplitude))
-    # L = 1j*M with M real, so the eigenvalues of L are 1j times those of M.
-    eigenvalues = 1j * np.linalg.eigvals(real_matrix)
-    near = eigenvalues[np.abs(eigenvalues) <= radius]
-    return float(near.real.max()) if near.size else 0.0
-
-
-def _quartet_growth(blocks: _SidebandBlocks) -> np.ndarray:
-    """Growth of the certified near-origin quartet at each sideband; nan where uncertified.
+def _quartets(blocks: _SidebandBlocks) -> np.ndarray:
+    """The quartet mu of M nearest the origin at each sideband, (sidebands, 4) complex.
 
     Inverse subspace iteration from the modes START_MODES of both
     components, all sidebands at once, then Rayleigh-Ritz on the basis: the
     quartet is the four Ritz values of smallest modulus.  A sideband is
-    uncertified where D is singular (integer xi), where a value is not
-    finite, or where a Ritz residual exceeds QUARTET_TOL * ||M||_F.  Every
-    sideband is uncertified when the batched inverse of the Schur
-    complements fails.
+    certified where every value is finite and each Ritz residual is at most
+    QUARTET_TOL * ||M||_F; where D is singular (integer xi) the values are
+    not finite.  Every other sideband, and every sideband when the batched
+    inverse of the Schur complements fails, takes the four eigenvalues of
+    smallest modulus of its dense M, all of them in one stacked eigensolve.
     """
     sidebands, dim = blocks.symbol.shape
-    growth = np.full(sidebands, np.nan)
-    solvable = np.all(blocks.scale != 0.0, axis=(1, 2))
-    if not solvable.any():
-        return growth
-    blocks = blocks.take(solvable)
+    quartets = np.empty((sidebands, 4), dtype=complex)
+    certified = np.zeros(sidebands, dtype=bool)
+    start = dim // 2 + np.array(START_MODES)
+    start = np.concatenate([start, dim + start])
+    basis = np.zeros((sidebands, 2 * dim, start.size))
+    basis[:, start, np.arange(start.size)] = 1.0
     try:
         solve = blocks.solver()
     except np.linalg.LinAlgError:
-        return growth
-    start = dim // 2 + np.array(START_MODES)
-    start = np.concatenate([start, dim + start])
-    basis = np.zeros((len(blocks.symbol), 2 * dim, start.size))
-    basis[:, start, np.arange(start.size)] = 1.0
-    with np.errstate(all="ignore"):
-        for _ in range(SUBSPACE_ITERATIONS):
-            basis = np.linalg.qr(solve(basis))[0]
-        image = blocks.apply(basis)
-        projected = basis.transpose(0, 2, 1) @ image
-        finite = np.all(np.isfinite(projected), axis=(1, 2))
-        projected[~finite] = 0.0
-        ritz, vectors = np.linalg.eig(projected)
-        keep = np.argsort(np.abs(ritz), axis=1)[:, :4]
-        ritz = np.take_along_axis(ritz, keep, axis=1)
-        vectors = np.take_along_axis(vectors, keep[:, None, :], axis=2)
-        # |M v - mu v| for the unit Ritz vectors v = basis @ w
-        residual = np.linalg.norm((image - basis @ projected) @ vectors, axis=1)
-        bound = QUARTET_TOL * blocks.frobenius()
-    certified = finite & np.all(residual <= bound[:, None], axis=1)
-    # lambda = 1j*mu, so Re(lambda) = -Im(mu)
-    growth[np.flatnonzero(solvable)[certified]] = np.max(-ritz.imag, axis=1)[certified]
-    return growth
+        pass
+    else:
+        with np.errstate(all="ignore"):
+            for _ in range(SUBSPACE_ITERATIONS):
+                basis = np.linalg.qr(solve(basis))[0]
+            image = blocks.apply(basis)
+            projected = basis.transpose(0, 2, 1) @ image
+            finite = np.all(np.isfinite(projected), axis=(1, 2))
+            projected[~finite] = 0.0
+            ritz, vectors = np.linalg.eig(projected)
+            keep = np.argsort(np.abs(ritz), axis=1)[:, :4]
+            quartets[:] = np.take_along_axis(ritz, keep, axis=1)
+            vectors = np.take_along_axis(vectors, keep[:, None, :], axis=2)
+            # |M v - mu v| for the unit Ritz vectors v = basis @ w
+            residual = np.linalg.norm((image - basis @ projected) @ vectors, axis=1)
+            bound = QUARTET_TOL * blocks.frobenius()
+        certified = finite & np.all(residual <= bound[:, None], axis=1)
+    if not certified.all():
+        eigenvalues = np.linalg.eigvals(blocks.dense(~certified))
+        keep = np.argsort(np.abs(eigenvalues), axis=1)[:, :4]
+        quartets[~certified] = np.take_along_axis(eigenvalues, keep, axis=1)
+    return quartets
 
 
 def _ladder_growth(
     xis: list[float], amplitude: float, kappa: float, bond: float, n_modes: int
 ) -> float:
-    """Largest growth rate over the sidebands ``xis``, one wave polish for all.
-
-    Each sideband takes the growth of its certified quartet, or of the dense
-    solve where the quartet is not certified.
-    """
+    """Largest growth rate over the sidebands ``xis``, one wave polish for all."""
     _check_problem(xis, amplitude, kappa, bond, n_modes)
     # xi = a = 0 is the unperturbed problem, with growth 0
     xis = [xi for xi in xis if abs(xi) + abs(amplitude) != 0.0]
     if not xis:
         return 0.0
     wave = polish_wave(wave_train(amplitude, kappa, bond))
-    blocks = _SidebandBlocks.build(xis, wave, n_modes)
-    best = 0.0
-    for row, quartet in enumerate(_quartet_growth(blocks)):
-        if np.isnan(quartet):
-            quartet = _dense_growth(blocks.take([row]).dense()[0], xis[row], amplitude)
-        best = max(best, float(quartet))
-    return best
+    quartets = _quartets(_SidebandBlocks.build(xis, wave, n_modes))
+    # lambda = 1j*mu, so Re(lambda) = -Im(mu)
+    return max(0.0, float(np.max(-quartets.imag)))
 
 
 def growth_rate(
@@ -276,11 +253,10 @@ def growth_rate(
 ) -> float:
     """Largest real part among eigenvalues bifurcating from the origin.
 
-    These are the certified quartet of the four eigenvalues nearest the
-    origin; far branches are irrelevant to modulational stability.  Where the
-    quartet is not certified, the dense solve keeps every eigenvalue with
-    |lambda| <= ORIGIN_RADIUS_FACTOR*(|xi| + |a|).  Never below 0, and 0 for
-    the unperturbed problem (xi = a = 0).
+    These are the quartet of the four eigenvalues nearest the origin, from
+    the certified quartet solve or, where it is not certified, from the dense
+    eigensolve of M; far branches are irrelevant to modulational stability.
+    Never below 0, and 0 for the unperturbed problem (xi = a = 0).
     """
     return _ladder_growth([xi], amplitude, kappa, bond, n_modes)
 

@@ -37,6 +37,7 @@ from .dispersion import (
     eval_dispersion,
     eval_dispersion_squared,
     eval_dispersion_squared_array,
+    second_harmonic,
 )
 
 
@@ -58,7 +59,7 @@ class ResonanceError(ValueError):
 def harmonic_coeffs(kappa: float, bond: float) -> tuple[float, float]:
     """Second-order harmonic coefficients (h0, h2) of the wave expansion."""
     s = eval_dispersion(kappa, bond)
-    c2k = eval_dispersion_squared(2.0 * kappa, bond)
+    c2k = eval_dispersion_squared(second_harmonic(kappa), bond)
     if near_pole(s.c2 - 1.0, s.c2):
         raise ResonanceError("mean-flow", kappa, bond)
     if near_pole(s.c2 - c2k, s.c2):

@@ -129,6 +129,16 @@ def test_hill_agreement(capsys):
     assert "agreement = AGREES" in out
 
 
+def test_hill_small_kappa_fallback_agrees_with_the_index(capsys):
+    # xi = 0 takes the dense solve; its quartet is the four eigenvalues nearest 0
+    code, out, _ = run_cli(
+        capsys, "hill", "--xi", "0", "--amplitude", "0.01", "--kappa", "0.1", "--bond", "0.2",
+    )
+    assert code == 0
+    assert "growth_rate = 0\n" in out
+    assert "agreement = AGREES" in out
+
+
 def test_hill_threshold_scales_with_amplitude_squared(capsys):
     # growth 3.9e-10 at a = 1e-3 is g/a**2 = 3.9e-4, the same as at
     # a = 1e-2: the threshold 1e-8 * (a/1e-2)**2 counts it as unstable
@@ -372,6 +382,7 @@ def test_hill_xi_out_of_range_message(capsys):
 # Invalid invocations and the offending value each error message names.
 HILL_01 = ("hill", "--xi", "0.01", "--amplitude", "0.01", "--kappa", "1")
 HILL_0 = ("hill", "--xi", "0", "--amplitude", "0")
+HALF_MAX_KAPPA = "at most 8.988465674311579e+307 so that 2*kappa is finite, got 1e+308"
 INVALID = {
     ("index", "--kappa", "inf"): "inf",
     ("index", "--kappa", "nan"): "nan",
@@ -404,6 +415,9 @@ INVALID = {
     ("intervals", "--bond", "-1"): "-1.0",
     ("critical", "--bond", "inf"): "inf",
     ("intervals", "--bond", "inf"): "inf",
+    # the second harmonic 2*kappa overflows: the message names the kappa passed
+    ("index", "--kappa", "1e308"): HALF_MAX_KAPPA,
+    (*HILL_01[:-1], "1e308"): HALF_MAX_KAPPA,
 }
 
 

@@ -51,6 +51,7 @@ def test_squared_symbol():
     assert eval_dispersion_squared(1.0, 0.0) == pytest.approx(TANH_1, rel=1e-14)
     assert eval_dispersion_squared(0.0, 0.0) == 1.0
     assert eval_dispersion_squared(0.0, 7.3) == 1.0
+    assert eval_dispersion_squared(-0.0, 7.3) == 1.0
 
 
 def test_domain_errors():

@@ -148,12 +148,14 @@ def test_n_modes_validation():
         (growth_rate_band, (math.inf, 0.01, 1.0, 0.0, 32), "xi must be finite, got inf"),
         (assemble, (0.01, math.inf, 1.0, 0.0, 32), "amplitude must be finite, got inf"),
         (growth_rate, (0.6, 0.01, 1.0, 0.0, 32), "xi must be in [-1/2, 1/2], got 0.6"),
+        # the second harmonic 2*kappa overflows; checked as the wave is built
+        (growth_rate, (0.01, 0.01, 1e308, 0.0, 32), "so that 2*kappa is finite, got 1e+308"),
         (growth_rate_band, (-0.6, 0.01, 1.0, 0.0, 32), "xi must be in [-1/2, 1/2], got -0.6"),
         (assemble, (0.75, 0.01, 1.0, 0.0, 32), "xi must be in [-1/2, 1/2], got 0.75"),
     ],
     ids=[
         "kappa", "bond", "n_modes", "n_modes-float", "n_modes-band", "xi", "amplitude", "xi-band",
-        "assemble", "xi-range", "xi-range-band", "xi-range-assemble",
+        "assemble", "xi-range", "kappa-harmonic", "xi-range-band", "xi-range-assemble",
     ],
 )
 def test_growth_rate_checks_its_arguments_before_any_polish(monkeypatch, func, args, message):
@@ -271,6 +273,13 @@ def _dense_reference(xi, a, kappa, bond, n_modes):
     return max(0.0, float(near.real.max())) if near.size else 0.0
 
 
+def _nearest_reference(xi, a, kappa, bond, n_modes):
+    # the four eigenvalues of L = 1j*M of smallest modulus: the quartet of the dense solve
+    eigenvalues = 1j * np.linalg.eigvals(assemble(xi, a, kappa, bond, n_modes).real_matrix)
+    quartet = eigenvalues[np.argsort(np.abs(eigenvalues))[:4]]
+    return max(0.0, float(quartet.real.max()))
+
+
 def _count_eigvals(monkeypatch):
     calls = []
     eigvals = np.linalg.eigvals
@@ -309,14 +318,35 @@ def test_band_makes_no_dense_eigensolve(monkeypatch):
     ],
 )
 def test_fallback_is_the_dense_solve(monkeypatch, xi, kappa, bond):
-    expected = _dense_reference(xi, 1e-2, kappa, bond, 32)
+    expected = _nearest_reference(xi, 1e-2, kappa, bond, 32)
     calls = _count_eigvals(monkeypatch)
     assert growth_rate(xi, 1e-2, kappa, bond, 32) == expected
-    assert calls == [(130, 130)]
+    # the uncertified sidebands are one stack of dense matrices
+    assert calls == [(1, 130, 130)]
 
 
 def test_fallback_at_xi_zero_keeps_its_value():
     assert growth_rate(0.0, 0.01, 1.0, 0.0, 32) == 2.0236852623830495e-09
+
+
+def test_uncertified_sidebands_share_one_dense_eigensolve(monkeypatch):
+    # at xi_max = 0.2 the certificate rejects three of the four rungs here
+    xis = [0.2 * fraction for fraction in SIDEBAND_LADDER]
+    one_by_one = max(growth_rate(xi, 1e-2, 2.0, 5.0, 32) for xi in xis)
+    reference = max(_nearest_reference(xi, 1e-2, 2.0, 5.0, 32) for xi in xis)
+    calls = _count_eigvals(monkeypatch)
+    growth = growth_rate_band(0.2, 1e-2, 2.0, 5.0, 32)
+    assert calls == [(3, 130, 130)]
+    assert growth == one_by_one
+    assert abs(growth - reference) <= 1e-10
+
+
+def test_fallback_quartet_is_nearest_the_origin():
+    # at small kappa the eigenvalues of other modes n come within 10*(|xi| + |a|)
+    # of the origin; the four nearest are the stable quartet the index predicts
+    assert index(Model.FDSW2, 0.1, 0.2).classification == "S"
+    assert growth_rate(0.0, 0.01, 0.1, 0.2, 32) == 0.0
+    assert _dense_reference(0.0, 0.01, 0.1, 0.2, 32) > 1e-3
 
 
 @pytest.mark.parametrize(

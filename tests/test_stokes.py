@@ -42,6 +42,17 @@ def test_harmonic_coeffs_values():
     assert h2 == pytest.approx(H2_1_0, rel=1e-13)
 
 
+def test_overflowing_second_harmonic_names_kappa():
+    # 2*kappa is inf above DBL_MAX/2: the message names the kappa passed
+    with pytest.raises(ValueError) as info:
+        harmonic_coeffs(1e308, 0.0)
+    assert str(info.value) == (
+        "kappa must be at most 8.988465674311579e+307 so that 2*kappa is finite, got 1e+308"
+    )
+    # the largest kappa whose double is finite passes the check
+    harmonic_coeffs(8.988465674311579e307, 0.0)
+
+
 def test_h0_negative_without_surface_tension():
     # c < 1 at T = 0 forces the mean-flow coefficient negative
     for kappa in (0.1, 0.5, 1.0, 3.0, 10.0):
