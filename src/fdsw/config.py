@@ -1,8 +1,9 @@
 """Shared numerical tolerances, and the one statement of each guard on them.
 
 These are used across modules so that, e.g., the second-harmonic resonance
-detected by the wave construction coincides with the pole guard of the
-instability index.
+detected by the wave construction is the pole guard of the instability
+index: both test the index's own i3 with :func:`near_pole`, so they flag
+exactly the same points.
 """
 
 # Relative guard for vanishing resonance denominators (see near_pole).

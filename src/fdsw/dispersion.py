@@ -28,9 +28,11 @@ floats and numpy arrays alike.  :func:`eval_dispersion` evaluates one point
 with ``math``; :func:`eval_dispersion_array` evaluates whole arrays with
 ``np.tanh``/``np.sqrt`` and picks the series branch per element; likewise
 :func:`eval_dispersion_squared` and :func:`eval_dispersion_squared_array`
-for the Fourier-multiplier symbol alone, and :func:`eval_speed` and
-:func:`eval_speed_array` for c and c**2 alone (what the index reads at the
-second harmonic 2*k).  These compute m = tanh(k)/k without its derivatives.
+for the Fourier-multiplier symbol alone, which compute m = tanh(k)/k
+without its derivatives.  The symbol is the very product (1 + T*k**2)*m
+whose root is the sample's c, so its square root at the second harmonic
+2*k is c(2*k) bit for bit: the index and the wave expansion read c(2*k)
+from it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -128,22 +129,10 @@ class DispersionSample:
     dcg: float
 
 
-class PhaseSpeed(NamedTuple):
-    """The fields c and c2 of a :class:`DispersionSample` alone."""
-
-    c: float
-    c2: float
-
-
-def _speed(kappa, bond, m, sqrt) -> tuple:
-    """(q, c, c2): q = 1 + T*kappa**2, c = sqrt(q*m) and c2 = c*c."""
+def _sample(kappa, bond, m, m1, m2, sqrt) -> DispersionSample:
     q = 1.0 + bond * kappa * kappa
     c = sqrt(q * m)
-    return q, c, c * c
-
-
-def _sample(kappa, bond, m, m1, m2, sqrt) -> DispersionSample:
-    q, c, c2 = _speed(kappa, bond, m, sqrt)
+    c2 = c * c
     dc2 = 2.0 * bond * kappa * m + q * m1
     d2c2 = 2.0 * bond * m + 4.0 * bond * kappa * m1 + q * m2
     dc = dc2 / (2.0 * c)
@@ -236,24 +225,6 @@ def eval_dispersion_array(kappa, bond) -> DispersionSample:
     with np.errstate(all="ignore"):
         kernel = _pick_array(kappa, _kernel_series, _kernel_direct)
         return _sample(kappa, bond, *kernel, np.sqrt)
-
-
-def eval_speed(kappa: float, bond: float) -> PhaseSpeed:
-    """c and c2 of :func:`eval_dispersion` alone, bit for bit.
-
-    The index reads only these at the second harmonic 2*kappa.
-    """
-    check_domain(kappa, bond)
-    m = _pick(kappa, _ratio_series, _ratio_direct)
-    return PhaseSpeed(*_speed(kappa, bond, m, math.sqrt)[1:])
-
-
-def eval_speed_array(kappa, bond) -> PhaseSpeed:
-    """c and c2 of :func:`eval_dispersion_array` alone, bit for bit."""
-    kappa, bond = _domain_arrays(kappa, bond)
-    with np.errstate(all="ignore"):
-        m = _pick_array(kappa, _ratio_series, _ratio_direct)
-        return PhaseSpeed(*_speed(kappa, bond, m, np.sqrt)[1:])
 
 
 def eval_dispersion_squared(kappa: float, bond: float) -> float:

@@ -34,11 +34,10 @@ import numpy as np
 from .config import near_pole, on_bond_third
 from .dispersion import (
     DispersionSample,
-    PhaseSpeed,
     eval_dispersion,
     eval_dispersion_array,
-    eval_speed,
-    eval_speed_array,
+    eval_dispersion_squared,
+    eval_dispersion_squared_array,
     second_harmonic,
 )
 
@@ -81,10 +80,8 @@ _FLAG_LABELS = {
 }
 
 
-def _factors(
-    s: DispersionSample, s2: PhaseSpeed, branch: Branch, model: Model | None = None
-) -> tuple:
-    """(i1, i2, i3, i4) from the sample at kappa and the speed at 2*kappa.
+def _factors(s: DispersionSample, c_2k, branch: Branch, model: Model | None = None) -> tuple:
+    """(i1, i2, i3, i4) from the sample at kappa and the speed c_2k at 2*kappa.
 
     i2 and i3 are taken on ``branch``, which must be the model's branch when
     a model is given: i4 is built from them.  i4 is None without a model.
@@ -92,22 +89,25 @@ def _factors(
     """
     if branch is Branch.FULL:
         i2 = s.cg * s.cg - 1.0
-        i3 = s.c2 - s2.c2
+        i3 = s.c2 - c_2k * c_2k
     else:
         i2 = s.cg - 1.0
-        i3 = s.c - s2.c
-    i4 = None if model is None else _I4[model](s, s2, i2, i3)
+        i3 = s.c - c_2k
+    i4 = None if model is None else _I4[model](s, c_2k, i2, i3)
     return s.dcg, i2, i3, i4
 
 
-# The factors read only c and c2 at the second harmonic 2*kappa.
-def _samples(kappa: float, bond: float) -> tuple[DispersionSample, PhaseSpeed]:
-    return eval_dispersion(kappa, bond), eval_speed(second_harmonic(kappa), bond)
+# The factors read only c at the second harmonic 2*kappa: the root of the
+# symbol there, which is eval_dispersion's c at 2*kappa bit for bit.
+def _samples(kappa: float, bond: float) -> tuple[DispersionSample, float]:
+    s = eval_dispersion(kappa, bond)
+    return s, math.sqrt(eval_dispersion_squared(second_harmonic(kappa), bond))
 
 
-def _array_samples(kappa, bond) -> tuple[DispersionSample, PhaseSpeed]:
+def _array_samples(kappa, bond) -> tuple[DispersionSample, np.ndarray]:
     kappa = np.asarray(kappa, dtype=float)
-    return eval_dispersion_array(kappa, bond), eval_speed_array(second_harmonic(kappa), bond)
+    s = eval_dispersion_array(kappa, bond)
+    return s, np.sqrt(eval_dispersion_squared_array(second_harmonic(kappa), bond))
 
 
 def factor_i1(kappa: float, bond: float) -> float:
@@ -126,33 +126,33 @@ def factor_i3(kappa: float, bond: float, branch: Branch = Branch.FULL) -> float:
 
 
 # Each i4 takes the samples and the model's own i2 and i3 from _factors.
-def _i4_fdsw2(s: DispersionSample, s2: PhaseSpeed, i2, i3) -> float:
+def _i4_fdsw2(s: DispersionSample, c_2k, i2, i3) -> float:
     k = s.kappa
     return 9.0 * s.c2 * i2 + i3 * (
         3.0 + 15.0 * s.c2 + 6.0 * k * s.c * s.dc - k * k * s.dc * s.dc
     )
 
 
-def _i4_fdsw1(s: DispersionSample, s2: PhaseSpeed, i2, i3) -> float:
+def _i4_fdsw1(s: DispersionSample, c_2k, i2, i3) -> float:
     # Coefficients cross-validated against a direct Floquet-Bloch computation
     # for this system: unique sign change at kappa = 1.610 for T = 0 and
     # scaled threshold kappa_c(T)*sqrt(T) -> 1.054 as T -> infinity.
     k = s.kappa
-    c2, c4 = s.c2, s.c2 * s.c2
+    c2, c4, c2_2k = s.c2, s.c2 * s.c2, c_2k * c_2k
     return (
         3.0 * c2
         + 15.0 * c4
-        - 6.0 * s2.c2 * (c2 + 2.0)
+        - 6.0 * c2_2k * (c2 + 2.0)
         + 18.0 * k * s.c * c2 * s.dc
-        + k * k * s.dc * s.dc * (5.0 * c2 + 4.0 * s2.c2)
+        + k * k * s.dc * s.dc * (5.0 * c2 + 4.0 * c2_2k)
     )
 
 
-def _i4_whitham(s: DispersionSample, s2: PhaseSpeed, i2m, i3m) -> float:
+def _i4_whitham(s: DispersionSample, c_2k, i2m, i3m) -> float:
     return 2.0 * i3m + i2m
 
 
-def _i4_fdch(s: DispersionSample, s2: PhaseSpeed, i2m, i3m) -> float:
+def _i4_fdch(s: DispersionSample, c_2k, i2m, i3m) -> float:
     k = s.kappa
     k2 = k * k
     return (
@@ -186,9 +186,9 @@ def factor_arrays(model: Model, kappa, bond) -> tuple[np.ndarray, ...]:
     Overflow gives inf or nan without a warning.
     """
     model = Model(model)
-    s, s2 = _array_samples(kappa, bond)
+    s, c_2k = _array_samples(kappa, bond)
     with np.errstate(all="ignore"):
-        return _factors(s, s2, model.branch, model)
+        return _factors(s, c_2k, model.branch, model)
 
 
 @dataclass(frozen=True)
@@ -230,8 +230,8 @@ def index(model: Model, kappa: float, bond: float) -> IndexReport:
     bond must be finite (ValueError otherwise).
     """
     model = Model(model)
-    s, s2 = _samples(kappa, bond)
-    i1, i2, i3, i4 = _factors(s, s2, model.branch, model)
+    s, c_2k = _samples(kappa, bond)
+    i1, i2, i3, i4 = _factors(s, c_2k, model.branch, model)
 
     flags = set()
     if on_bond_third(bond):
@@ -263,9 +263,9 @@ _LABELS = np.array([*_FLAG_LABELS.values(), "U", "S"], dtype=object)
 def _label_codes(model: Model, kappa, bond) -> np.ndarray:
     """The index into ``_LABELS`` of each point's label, as uint8, broadcast."""
     model = Model(model)
-    s, s2 = _array_samples(kappa, bond)
+    s, c_2k = _array_samples(kappa, bond)
     with np.errstate(all="ignore"):
-        i1, i2, i3, i4 = _factors(s, s2, model.branch, model)
+        i1, i2, i3, i4 = _factors(s, c_2k, model.branch, model)
         delta = i1 * i2 * i4 / i3
         flags = {
             IndexFlag.BOND_ONE_THIRD: on_bond_third(s.bond),

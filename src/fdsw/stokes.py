@@ -18,6 +18,9 @@ with harmonic coefficients
 
 h2 blows up at a second-harmonic (Wilton ripple) resonance c(k) = c(2k),
 h0 at a mean-flow resonance c(k) = 1; both raise :class:`ResonanceError`.
+The second-harmonic guard is the index's own: it tests the full factor i3
+of :mod:`fdsw.factors`, so it fires exactly where the bidirectional index
+flags NearPoleI3.
 
 The system is written once, on cosine coefficients, in :func:`wave_residual`.
 It is bilinear, so :func:`wave_jacobian` is its exact derivative, and
@@ -39,6 +42,7 @@ from .dispersion import (
     eval_dispersion_squared_array,
     second_harmonic,
 )
+from .factors import Branch, _factors
 
 
 class ResonanceError(ValueError):
@@ -62,7 +66,9 @@ def harmonic_coeffs(kappa: float, bond: float) -> tuple[float, float]:
     c2k = eval_dispersion_squared(second_harmonic(kappa), bond)
     if near_pole(s.c2 - 1.0, s.c2):
         raise ResonanceError("mean-flow", kappa, bond)
-    if near_pole(s.c2 - c2k, s.c2):
+    # the guard reads the index's full i3, c**2 - c(2k)*c(2k), not s.c2 - c2k:
+    # the two differ in the last ulp, and only i3 flags exactly NearPoleI3
+    if near_pole(_factors(s, math.sqrt(c2k), Branch.FULL)[2], s.c2):
         raise ResonanceError("second-harmonic", kappa, bond)
     h0 = 0.75 * s.c / (s.c2 - 1.0)
     h2 = 0.75 * s.c / (s.c2 - c2k)
@@ -79,8 +85,6 @@ class WaveTrain:
     eta_coeffs: tuple[float, float, float]
     u_coeffs: tuple[float, float, float]
     speed: float
-    h0: float
-    h2: float
 
 
 def wave_train(amplitude: float, kappa: float, bond: float) -> WaveTrain:
@@ -98,8 +102,6 @@ def wave_train(amplitude: float, kappa: float, bond: float) -> WaveTrain:
         eta_coeffs=eta,
         u_coeffs=u,
         speed=speed,
-        h0=h0,
-        h2=h2,
     )
 
 

@@ -456,6 +456,20 @@ def test_hill_refinement_failure_exit_code(capsys):
     assert "did not converge" in err
 
 
+def test_hill_at_the_index_pole_is_a_resonance_error(capsys):
+    # inside the index's pole guard the wave expansion is singular too: the
+    # command names the resonance instead of failing the polish of a huge wave
+    args = ("--kappa", "0.9315858856942244", "--bond", "0.25")
+    code, out, _ = run_cli(capsys, "index", *args)
+    assert code == 0 and "classification = NearPole" in out
+    code, out, err = run_cli(capsys, "hill", "--xi", "0.01", "--amplitude", "0.01", *args)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: second-harmonic resonance at kappa=0.9315858856942244, bond=0.25: "
+        "the wave expansion is singular here\n"
+    )
+
+
 def test_hill_overflowing_amplitude_prints_one_error_line(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -14,8 +14,6 @@ from fdsw.dispersion import (
     eval_dispersion_array,
     eval_dispersion_squared,
     eval_dispersion_squared_array,
-    eval_speed,
-    eval_speed_array,
 )
 
 # mpmath (50 digits) reference values
@@ -108,28 +106,20 @@ _ABOVE = np.geomspace(SERIES_KAPPA_THRESHOLD / 2, 1e5, 37)
     [_BELOW, _ABOVE, np.concatenate([_BELOW, _ABOVE])],
     ids=["series", "direct", "straddling"],
 )
-def test_speed_is_dispersion_c_and_c2_bit_for_bit(kappa):
-    # the index reads c and c2 at 2*kappa from the speed alone; arrays
+def test_root_of_symbol_is_dispersion_c_and_c2_bit_for_bit(kappa):
+    # the index reads c(2*kappa) as the root of the symbol at 2*kappa; arrays
     # entirely below the series threshold, entirely above it, and both
     kappa2 = 2.0 * kappa
     bonds = np.array([0.0, 1e-3, 1.0 / 3.0, 2.0, 1e4])
-    speed = eval_speed_array(kappa2[:, None], bonds[None, :])
+    root = np.sqrt(eval_dispersion_squared_array(kappa2[:, None], bonds[None, :]))
     sample = eval_dispersion_array(kappa2[:, None], bonds[None, :])
-    assert speed.c.tobytes() == sample.c.tobytes()
-    assert speed.c2.tobytes() == sample.c2.tobytes()
+    assert root.tobytes() == sample.c.tobytes()
+    assert (root * root).tobytes() == sample.c2.tobytes()
     for k in kappa2.tolist():
         for bond in bonds.tolist():
+            root = math.sqrt(eval_dispersion_squared(k, bond))
             want = eval_dispersion(k, bond)
-            assert eval_speed(k, bond) == (want.c, want.c2), (k, bond)
-
-
-def test_speed_domain_errors():
-    with pytest.raises(ValueError, match="kappa must be finite and positive, got inf"):
-        eval_speed(math.inf, 0.0)
-    with pytest.raises(ValueError, match="kappa must be finite and positive, got inf"):
-        eval_speed_array(np.array([1.0, math.inf]), 0.0)
-    with pytest.raises(ValueError, match="bond must be finite and nonnegative, got -1.0"):
-        eval_speed_array(1.0, np.array([0.0, -1.0]))
+            assert (root, root * root) == (want.c, want.c2), (k, bond)
 
 
 def test_array_symbol_matches_scalar():

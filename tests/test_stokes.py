@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from fdsw.bloch import classify_band
 from fdsw.dispersion import eval_dispersion_squared
-from fdsw.factors import Branch, Model, factor_i3
+from fdsw.factors import Branch, IndexFlag, Model, factor_i3, index
+from fdsw.hill import growth_rate
 from fdsw.stokes import (
     POLISH_MODES,
     ResonanceError,
@@ -131,6 +133,86 @@ def test_h2_pole_coincides_with_i3_root():
     # just outside the guard band both exist again
     h0, h2 = harmonic_coeffs(wilton + 1e-6, 0.2)
     assert abs(h2) > 1e4
+
+
+# A point inside the index's pole guard where h2's own denominator s.c2 - c2k,
+# one ulp of c**2 away from i3, sits just outside it (h2 = 7.7e9 there).
+GUARD_EDGE = (0.9315858856942244, 0.25)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k, t: harmonic_coeffs(k, t),
+        lambda k, t: wave_train(0.01, k, t),
+        lambda k, t: classify_band(0.01, 0.01, k, t),
+        lambda k, t: growth_rate(0.01, 0.01, k, t, 32),
+    ],
+    ids=["harmonic_coeffs", "wave_train", "classify_band", "growth_rate"],
+)
+def test_index_pole_is_a_second_harmonic_resonance(build):
+    assert index(Model.FDSW2, *GUARD_EDGE).classification == "NearPole"
+    with pytest.raises(ResonanceError) as info:
+        build(*GUARD_EDGE)
+    assert info.value.denominator == "second-harmonic"
+
+
+# Brackets of the one Wilton root c(k) = c(2k) at each Bond number.
+WILTON_BRACKETS = {
+    0.05: (2.5, 4.0),
+    0.1: (1.5, 3.0),
+    0.2: (1.0, 1.5),
+    0.25: (0.8, 1.1),
+    0.3: (0.4, 0.8),
+}
+
+
+def _near_pole_i3(kappa, bond):
+    flags = [index(model, kappa, bond).flags for model in (Model.FDSW2, Model.FDSW1)]
+    assert flags[0] == flags[1]
+    return IndexFlag.NEAR_POLE_I3 in flags[0]
+
+
+def _second_harmonic_raises(kappa, bond):
+    try:
+        harmonic_coeffs(kappa, bond)
+    except ResonanceError as exc:
+        return exc.denominator == "second-harmonic"
+    return False
+
+
+def _guard_edge(bond, inside, outside):
+    """A double where the index's pole flag changes, between inside and outside."""
+    assert _near_pole_i3(inside, bond) and not _near_pole_i3(outside, bond)
+    while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+        if _near_pole_i3(mid, bond):
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+@pytest.mark.parametrize("bond", sorted(WILTON_BRACKETS))
+def test_second_harmonic_guard_is_the_index_pole_guard(bond):
+    # harmonic_coeffs raises exactly where the bidirectional index flags
+    # NearPoleI3: across the guard band in 201 steps, and at every double
+    # within 100 ulps of either edge, where the rounding of i3 decides
+    wilton = bisect_wilton(bond, *WILTON_BRACKETS[bond])
+    lo = _guard_edge(bond, wilton, wilton * (1.0 - 1e-7))
+    hi = _guard_edge(bond, wilton, wilton * (1.0 + 1e-7))
+    kappas = set(np.linspace(1.5 * lo - 0.5 * wilton, 1.5 * hi - 0.5 * wilton, 201).tolist())
+    for edge in (lo, hi):
+        below = above = edge
+        for _ in range(100):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            kappas.update((below, above))
+        kappas.add(edge)
+    flagged = 0
+    for kappa in sorted(kappas):
+        near_pole = _near_pole_i3(kappa, bond)
+        assert _second_harmonic_raises(kappa, bond) == near_pole, kappa
+        flagged += near_pole
+    assert 0 < flagged < len(kappas)
 
 
 def loop_cos_product(f, g, n_out):
