@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import on_bond_third
 from .dispersion import check_domain
-from .factors import _LABELS, Model, _label_codes, factor_arrays, index
+from .factors import _LABELS, Model, _label_codes, factor_arrays, index_labels
 
 # Scan density and bisection tolerance for factor root finding.  The factors
 # are smooth and cheap; a dense scan guards against close root pairs near the
@@ -389,17 +389,16 @@ def classify_intervals(
 
     Delimiters are the roots of i1, i2, i3 (the i3 roots are the poles of
     the index) and i4; each resulting interval is labeled by the index
-    classification at its geometric midpoint.
+    classification at its geometric midpoint sqrt(lo*hi), all of them in
+    one ``index_labels`` call: the rule of the diagram grid at that point.
     """
     check_domain(None, bond)
     grid = _scan_grid(k_lo, k_hi, SCAN_POINTS)
     delimiters = _factor_roots(model, MECHANISM_FACTORS, [bond], grid).root
-    edges = [k_lo] + sorted(delimiters.tolist()) + [k_hi]
-    out = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = math.sqrt(lo * hi)
-        out.append(((lo, hi), index(model, mid, bond).classification))
-    return out
+    edges = [k_lo, *sorted(delimiters.tolist()), k_hi]
+    pieces = list(zip(edges[:-1], edges[1:]))
+    mids = [math.sqrt(lo * hi) for lo, hi in pieces]
+    return list(zip(pieces, index_labels(model, mids, bond).tolist()))
 
 
 @dataclass(frozen=True)

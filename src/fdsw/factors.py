@@ -20,7 +20,10 @@ the dispersion, so their index uses the one-sided factors
 
 The factor formulas are written once and serve one point (:func:`index`,
 ``factor_i*``) and whole arrays (:func:`factor_arrays`, :func:`index_labels`)
-alike.
+alike.  So is the rule that flags a point: one helper states delta and the
+BondOneThird, NearPoleI3 and OutsideValidity conditions for a float or an
+array sample, and points, diagram grids and the stability intervals of
+``analysis.classify_intervals`` are all classified by it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 
 import numpy as np
 
@@ -219,6 +223,26 @@ def _near_pole(i3, s: DispersionSample, branch: Branch):
     return near_pole(i3, s.c2 if branch is Branch.FULL else s.c)
 
 
+def _flag_rule(s: DispersionSample, c_2k, model: Model) -> tuple:
+    """The factors, delta = i1*i2*i4/i3 and the flag conditions at the sample.
+
+    The one statement of when a point is flagged, for a float sample and an
+    array sample alike: the conditions come in ``_FLAG_LABELS`` order, as
+    bools or bool arrays.  delta is not defined at a pole, which is never
+    also OutsideValidity: a float sample gives None there, an array sample
+    whatever the division gives (evaluate it under ``np.errstate``).
+    """
+    i1, i2, i3, i4 = _factors(s, c_2k, model.branch, model)
+    pole = _near_pole(i3, s, model.branch)
+    if isinstance(s.kappa, np.ndarray):
+        delta = i1 * i2 * i4 / i3
+        outside = ~(pole | np.isfinite(delta))
+    else:
+        delta = None if pole else i1 * i2 * i4 / i3
+        outside = not (pole or math.isfinite(delta))
+    return (i1, i2, i3, i4), delta, (on_bond_third(s.bond), pole, outside)
+
+
 def index(model: Model, kappa: float, bond: float) -> IndexReport:
     """Assemble the modulational instability index at (kappa, bond).
 
@@ -230,29 +254,9 @@ def index(model: Model, kappa: float, bond: float) -> IndexReport:
     bond must be finite (ValueError otherwise).
     """
     model = Model(model)
-    s, c_2k = _samples(kappa, bond)
-    i1, i2, i3, i4 = _factors(s, c_2k, model.branch, model)
-
-    flags = set()
-    if on_bond_third(bond):
-        flags.add(IndexFlag.BOND_ONE_THIRD)
-    if _near_pole(i3, s, model.branch):
-        flags.add(IndexFlag.NEAR_POLE_I3)
-        delta = None
-    else:
-        delta = i1 * i2 * i4 / i3
-        if not math.isfinite(delta):
-            flags.add(IndexFlag.OUTSIDE_VALIDITY)
-    return IndexReport(
-        kappa=kappa,
-        bond=bond,
-        i1=i1,
-        i2=i2,
-        i3=i3,
-        i4=i4,
-        delta=delta,
-        flags=frozenset(flags),
-    )
+    factors, delta, conditions = _flag_rule(*_samples(kappa, bond), model)
+    flags = frozenset(compress(_FLAG_LABELS, conditions))
+    return IndexReport(kappa, bond, *factors, delta, flags)
 
 
 # The label codes of _label_codes index this array: the flags' labels in
@@ -265,15 +269,9 @@ def _label_codes(model: Model, kappa, bond) -> np.ndarray:
     model = Model(model)
     s, c_2k = _array_samples(kappa, bond)
     with np.errstate(all="ignore"):
-        i1, i2, i3, i4 = _factors(s, c_2k, model.branch, model)
-        delta = i1 * i2 * i4 / i3
-        flags = {
-            IndexFlag.BOND_ONE_THIRD: on_bond_third(s.bond),
-            IndexFlag.NEAR_POLE_I3: _near_pole(i3, s, model.branch),
-            IndexFlag.OUTSIDE_VALIDITY: ~np.isfinite(delta),
-        }
+        _, delta, flags = _flag_rule(s, c_2k, model)
         # the first condition that holds picks the label
-        conditions = [flags[flag] for flag in _FLAG_LABELS] + [delta < 0.0]
+        conditions = [*flags, delta < 0.0]
         code = np.select(conditions, list(range(len(conditions))), default=len(conditions))
     return code.astype(np.uint8)
 

@@ -42,7 +42,7 @@ from .dispersion import (
     eval_dispersion_squared_array,
     second_harmonic,
 )
-from .factors import Branch, _factors
+from .factors import Branch, _factors, _near_pole
 
 
 class ResonanceError(ValueError):
@@ -68,7 +68,7 @@ def harmonic_coeffs(kappa: float, bond: float) -> tuple[float, float]:
         raise ResonanceError("mean-flow", kappa, bond)
     # the guard reads the index's full i3, c**2 - c(2k)*c(2k), not s.c2 - c2k:
     # the two differ in the last ulp, and only i3 flags exactly NearPoleI3
-    if near_pole(_factors(s, math.sqrt(c2k), Branch.FULL)[2], s.c2):
+    if _near_pole(_factors(s, math.sqrt(c2k), Branch.FULL)[2], s, Branch.FULL):
         raise ResonanceError("second-harmonic", kappa, bond)
     h0 = 0.75 * s.c / (s.c2 - 1.0)
     h2 = 0.75 * s.c / (s.c2 - c2k)

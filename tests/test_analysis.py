@@ -532,6 +532,16 @@ def test_intervals_fdsw2_no_tension_and_high_tension():
     assert labels == ["S", "U"]
 
 
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("bond", [0.0, 1e-6, 0.2, 1.0 / 3.0 - 1e-8, 1.0 / 3.0 + 1e-8, 2.0, 1e6])
+def test_interval_labels_are_the_index_at_geometric_midpoints(model, bond):
+    pieces = classify_intervals(model, bond, 0.05, 30.0)
+    mids = [math.sqrt(lo * hi) for (lo, hi), _ in pieces]
+    labels = [label for _, label in pieces]
+    assert labels == [index(model, mid, bond).classification for mid in mids]
+    assert labels == index_labels(model, mids, bond).tolist()
+
+
 def test_diagram_grid_and_curves():
     diagram = stability_diagram(Model.FDSW2, resolution=60)
     assert diagram.labels.shape == (60, 60)

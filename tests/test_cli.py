@@ -42,6 +42,18 @@ def test_index_inconclusive_on_bond_third(capsys):
     assert "classification = Inconclusive" in out
 
 
+def test_index_json_lists_both_flags_of_a_two_flag_point(capsys):
+    code, out, _ = run_cli(
+        capsys, "index", "--kappa", "0.001", "--bond", "0.3333333333333333",
+        "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["flags"] == ["BondOneThird", "NearPoleI3"]
+    assert record["delta"] is None
+    assert record["classification"] == "Inconclusive"
+
+
 def test_index_json_round_trip(capsys):
     code, out, _ = run_cli(
         capsys, "index", "--model", "fdsw2", "--kappa", "1.7", "--bond", "0.25",

@@ -199,6 +199,19 @@ def test_bond_one_third_flag():
     assert IndexFlag.BOND_ONE_THIRD not in index(Model.FDSW2, 1.0, 0.34).flags
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_two_flag_point_keeps_both_flags_and_no_third(model):
+    # on the T = 1/3 band and, at small kappa, inside the pole guard too:
+    # both flags are set, delta is undefined, and OutsideValidity is not
+    # added by the undefined quotient
+    kappa, bond = 1e-3, 0.3333333333333333
+    rep = index(model, kappa, bond)
+    assert rep.flags == {IndexFlag.BOND_ONE_THIRD, IndexFlag.NEAR_POLE_I3}
+    assert rep.delta is None
+    assert rep.classification == "Inconclusive"
+    assert index_labels(model, kappa, bond) == "Inconclusive"
+
+
 def test_index_rejects_non_finite_inputs():
     for kappa, bond in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError):
