@@ -9,8 +9,8 @@ intervals, and assembles (kappa, kappa*sqrt(T)) stability diagrams.
 
 All root finding goes through one batched finder, :func:`_factor_roots`:
 a sign-change scan of the factors on a (Bond number x kappa) grid, then a
-masked vector bisection of every bracket at once, several steps per factor
-pass when few brackets are left.
+bisection of every bracket at once: one factor pass evaluates the midpoints
+of all live brackets, several steps deep when few brackets are left.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ CURVE_SAMPLES = 200
 CURVE_K_MIN = 1e-3
 
 # Points per factor pass of the bisection.  A factor pass on one point costs
-# nearly as much as one on a few hundred (about 0.08 against 0.11 ms for 511
+# nearly as much as one on a few hundred (about 0.06 against 0.10 ms for 511
 # points, see docs/numerics.md), so a few live brackets take several
 # bisection steps per pass (see _bisect).
 PASS_POINTS = 512
@@ -174,16 +174,15 @@ def _pass_depth(n_live: int) -> int:
     return max(1, (PASS_POINTS // n_live + 1).bit_length() - 1)
 
 
-def _subtree_ends(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
+def _subtree_ends(lo, hi, depth: int) -> np.ndarray:
     """Every end the next ``depth`` bisection steps of [lo, hi] can reach.
 
     Row i holds 2**depth + 1 points in increasing order: column 0 is lo,
-    the last column hi, and the node at column p, with h the lowest set
-    bit of p, is the midpoint ``0.5*(lo + hi)`` of the bracket between
-    columns p - h and p + h, computed from those very ends.  So each
-    interior column is bisection's own midpoint bit for bit: the root of
-    the subtree is column 2**(depth - 1), and the children of node p are
-    p - h/2 and p + h/2.
+    the last column hi, and each step of a bisection that starts at columns
+    (0, 2**depth) halves a bracket between columns (left, right) at column
+    (left + right)//2, which holds ``0.5*(lo + hi)`` computed from the ends
+    at those very columns.  So each interior column is bisection's own
+    midpoint bit for bit.
     """
     ends = np.stack([lo, hi], axis=1)
     for _ in range(depth):
@@ -193,16 +192,6 @@ def _subtree_ends(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
         finer[:, 1::2] = mid
         ends = finer
     return ends
-
-
-def _splittable(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Brackets wider than ROOT_TOL whose midpoint lies strictly inside.
-
-    Above kappa ~ 1e6 the float spacing exceeds ROOT_TOL, and a bracket of
-    adjacent floats has its midpoint at an end: bisection stops there.
-    """
-    mid = 0.5 * (lo + hi)
-    return (hi - lo > ROOT_TOL) & (lo < mid) & (mid < hi)
 
 
 def _bisect(evaluate, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
@@ -215,65 +204,50 @@ def _bisect(evaluate, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
 
     A pass evaluates, in one call, every midpoint that the next
     ``_pass_depth(n_live)`` steps of each live bracket could visit (see
-    :func:`_subtree_ends`), then decides every node of those subtrees at
-    once.  The left end of node p's bracket is column p - h, the pass's lo
-    or a stored midpoint, so its function value is known before any step
-    is taken.  Each node's step is then the plain bisection step as array
-    expressions over (brackets x nodes): the same sign test of f_lo*f_mid,
-    the same exact-zero rule and the same width test of the half it keeps.
-    A walk of ``depth - 1`` gathers through the resulting next-node table
-    follows each bracket down to the node where it stops, and the pass
-    writes that node's bracket back.  So the results and the iteration
-    counts, which count steps, not passes, do not depend on the depth.
+    :func:`_subtree_ends`).  Each bracket then walks its own subtree in
+    plain bisection steps on Python floats: the sign test f_lo*f_mid < 0,
+    the exact-zero rule, and it goes on while it is wider than ROOT_TOL and
+    its midpoint lies strictly inside (above kappa ~ 1e6 the float spacing
+    exceeds ROOT_TOL, and the midpoint of adjacent floats is an end).  So
+    the results and the iteration counts, which count steps, not passes,
+    do not depend on the depth.
     """
-    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
-    root = np.empty_like(lo)
-    iterations = np.zeros(lo.size, dtype=int)
-    hit = np.zeros(lo.size, dtype=bool)
-    active = np.nonzero(_splittable(lo, hi))[0]
-    while active.size:
-        depth = _pass_depth(active.size)
-        ends = _subtree_ends(lo[active], hi[active], depth)
-        mid = ends[:, 1:-1]
-        f_mid = evaluate(mid.ravel(), np.repeat(active, mid.shape[1])).reshape(mid.shape)
-        # f at every end but hi; node p (column 1 .. 2**depth - 1), with h the
-        # lowest set bit of p, bisects [p - h, p + h] in step depth - log2(h)
-        f = np.concatenate([f_lo[active, None], f_mid], axis=1)
-        p = np.arange(f.shape[1])
-        h = p & -p
-        exact = f == 0.0
-        with np.errstate(all="ignore"):
-            left = ~exact & (f[:, p - h] * f < 0.0)
-        go_on = ~exact & np.where(
-            left, _splittable(ends[:, p - h], ends[:, p]), _splittable(ends[:, p], ends[:, p + h])
-        )
-        # every node's next node: the child the step keeps, or the node itself
-        # where the bracket stops or the subtree ends (h = 1); column 0 is lo,
-        # no node, and the walk never reaches it
-        rows = np.arange(active.size)
-        base = rows * f.shape[1]
-        step_to = np.where(go_on, np.where(left, p - h // 2, p + h // 2), p)
-        step_to = (step_to + base[:, None]).ravel()
-        node = base + f.shape[1] // 2
-        for _ in range(depth - 1):
-            node = step_to[node]
-        node -= base
-        # write back the half each bracket kept at its last node
-        half, went_left = h[node], left[rows, node]
-        iterations[active] += depth - np.log2(half).astype(int)
-        kept_lo = np.where(went_left, node - half, node)
-        lo[active] = ends[rows, kept_lo]
-        hi[active] = ends[rows, np.where(went_left, node, node + half)]
-        f_lo[active] = f[rows, kept_lo]
-        zero = exact[rows, node]
-        done, root_at = active[zero], ends[rows[zero], node[zero]]
-        hit[done] = True
-        root[done] = root_at
-        lo[done] = root_at - 0.5 * ROOT_TOL
-        hi[done] = root_at + 0.5 * ROOT_TOL
-        active = active[go_on[rows, node]]
-    root[~hit] = 0.5 * (lo[~hit] + hi[~hit])
-    return root, lo, hi, iterations
+    lo, hi, f_lo = lo.tolist(), hi.tolist(), f_lo.tolist()
+    root, iterations = [None] * len(lo), [0] * len(lo)
+    # the first walk has no subtree (width 1): it only tests each bracket
+    live, width, f_mid = range(len(lo)), 1, None
+    while True:
+        going = []
+        for row, i in enumerate(live):
+            # a and b are the subtree's ends at columns left and right
+            a, b, f_a, left, right = lo[i], hi[i], f_lo[i], 0, width
+            while True:
+                mid = 0.5 * (a + b)
+                if not (b - a > ROOT_TOL and a < mid < b):
+                    break
+                if right - left == 1:
+                    going.append(i)
+                    break
+                col = (left + right) // 2
+                f_m = f_mid[row][col - 1]
+                iterations[i] += 1
+                if f_m == 0.0:
+                    root[i], a, b = mid, mid - 0.5 * ROOT_TOL, mid + 0.5 * ROOT_TOL
+                    break
+                if f_a * f_m < 0.0:
+                    b, right = mid, col
+                else:
+                    a, f_a, left = mid, f_m, col
+            lo[i], hi[i], f_lo[i] = a, b, f_a
+        if not going:
+            break
+        live, depth = going, _pass_depth(len(going))
+        width = 2**depth
+        ends = _subtree_ends([lo[i] for i in live], [hi[i] for i in live], depth)
+        f_mid = evaluate(ends[:, 1:-1].ravel(), np.repeat(live, width - 1))
+        f_mid = f_mid.reshape(len(live), width - 1).tolist()
+    root = [0.5 * (a + b) if r is None else r for r, a, b in zip(root, lo, hi)]
+    return np.array(root), np.array(lo), np.array(hi), np.array(iterations, dtype=int)
 
 
 def find_factor_roots(
@@ -307,10 +281,14 @@ class CriticalResult:
         return self.kappa_c is None
 
 
+# The scan grid of the critical window, shared by every call (read-only).
+_CRITICAL_GRID = _scan_grid(MIN_KAPPA, CRITICAL_K_MAX, SCAN_POINTS)
+_CRITICAL_GRID.flags.writeable = False
+
+
 def _critical_scan(model: Model, bond: float, scale: float) -> _Roots:
     """The roots of i4 at ``bond`` in s = kappa*scale on [MIN_KAPPA, CRITICAL_K_MAX]."""
-    grid = _scan_grid(MIN_KAPPA, CRITICAL_K_MAX, SCAN_POINTS)
-    return _factor_roots(model, ("i4",), [bond], grid, scale)
+    return _factor_roots(model, ("i4",), [bond], _CRITICAL_GRID, scale)
 
 
 def critical_wavenumber(model: Model, bond: float) -> CriticalResult:

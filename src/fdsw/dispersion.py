@@ -129,6 +129,11 @@ class DispersionSample:
     dcg: float
 
 
+def _symbol(kappa, bond, pick):
+    """(1 + T*kappa**2)*tanh(kappa)/kappa: the product ``q*m`` whose root is c."""
+    return (1.0 + bond * kappa * kappa) * pick(kappa, _ratio_series, _ratio_direct)
+
+
 def _sample(kappa, bond, m, m1, m2, sqrt) -> DispersionSample:
     q = 1.0 + bond * kappa * kappa
     c = sqrt(q * m)
@@ -235,7 +240,7 @@ def eval_dispersion_squared(kappa: float, bond: float) -> float:
     mode of a periodic function).
     """
     check_domain(kappa, bond, zero_kappa=True)
-    return (1.0 + bond * kappa * kappa) * _pick(kappa, _ratio_series, _ratio_direct)
+    return _symbol(kappa, bond, _pick)
 
 
 def eval_dispersion_squared_array(kappa, bond) -> np.ndarray:
@@ -246,4 +251,16 @@ def eval_dispersion_squared_array(kappa, bond) -> np.ndarray:
     """
     kappa, bond = _domain_arrays(kappa, bond, zero_kappa=True)
     with np.errstate(all="ignore"):
-        return (1.0 + bond * kappa * kappa) * _pick_array(kappa, _ratio_series, _ratio_direct)
+        return _symbol(kappa, bond, _pick_array)
+
+
+def _harmonic_sample_array(kappa, bond) -> tuple[DispersionSample, np.ndarray]:
+    """The sample at kappa and c at 2*kappa (the root of the symbol there), broadcast.
+
+    Each point is checked once, as by :func:`eval_dispersion_array`.
+    """
+    kappa, bond = _domain_arrays(kappa, bond)
+    harmonic = second_harmonic(kappa)
+    with np.errstate(all="ignore"):
+        s = _sample(kappa, bond, *_pick_array(kappa, _kernel_series, _kernel_direct), np.sqrt)
+        return s, np.sqrt(_symbol(harmonic, bond, _pick_array))

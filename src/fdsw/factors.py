@@ -38,10 +38,9 @@ import numpy as np
 from .config import near_pole, on_bond_third
 from .dispersion import (
     DispersionSample,
+    _harmonic_sample_array,
     eval_dispersion,
-    eval_dispersion_array,
     eval_dispersion_squared,
-    eval_dispersion_squared_array,
     second_harmonic,
 )
 
@@ -106,12 +105,6 @@ def _factors(s: DispersionSample, c_2k, branch: Branch, model: Model | None = No
 def _samples(kappa: float, bond: float) -> tuple[DispersionSample, float]:
     s = eval_dispersion(kappa, bond)
     return s, math.sqrt(eval_dispersion_squared(second_harmonic(kappa), bond))
-
-
-def _array_samples(kappa, bond) -> tuple[DispersionSample, np.ndarray]:
-    kappa = np.asarray(kappa, dtype=float)
-    s = eval_dispersion_array(kappa, bond)
-    return s, np.sqrt(eval_dispersion_squared_array(second_harmonic(kappa), bond))
 
 
 def factor_i1(kappa: float, bond: float) -> float:
@@ -190,7 +183,7 @@ def factor_arrays(model: Model, kappa, bond) -> tuple[np.ndarray, ...]:
     Overflow gives inf or nan without a warning.
     """
     model = Model(model)
-    s, c_2k = _array_samples(kappa, bond)
+    s, c_2k = _harmonic_sample_array(kappa, bond)
     with np.errstate(all="ignore"):
         return _factors(s, c_2k, model.branch, model)
 
@@ -267,13 +260,16 @@ _LABELS = np.array([*_FLAG_LABELS.values(), "U", "S"], dtype=object)
 def _label_codes(model: Model, kappa, bond) -> np.ndarray:
     """The index into ``_LABELS`` of each point's label, as uint8, broadcast."""
     model = Model(model)
-    s, c_2k = _array_samples(kappa, bond)
+    s, c_2k = _harmonic_sample_array(kappa, bond)
     with np.errstate(all="ignore"):
         _, delta, flags = _flag_rule(s, c_2k, model)
-        # the first condition that holds picks the label
-        conditions = [*flags, delta < 0.0]
-        code = np.select(conditions, list(range(len(conditions))), default=len(conditions))
-    return code.astype(np.uint8)
+    # the first condition that holds picks the label: written last to first,
+    # over S where none holds
+    conditions = [*flags, delta < 0.0]
+    code = np.full(delta.shape, len(conditions), dtype=np.uint8)
+    for c in reversed(range(len(conditions))):
+        np.copyto(code, c, where=conditions[c])
+    return code
 
 
 def index_labels(model: Model, kappa, bond) -> np.ndarray:

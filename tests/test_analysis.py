@@ -199,6 +199,26 @@ def test_bisect_matches_one_step_reference_on_diagram_curves(monkeypatch):
     _assert_bisect_matches_reference(evaluate, lo, hi, f_lo)
 
 
+_LONE_BRACKET_RUNS = {
+    f"critical-{model.value}-{bond:g}": lambda m=model, t=bond: critical_wavenumber(m, t)
+    for model, bond in [
+        *itertools.product(Model, (0.0, 0.5, 5.0, 1e8)),
+        # the kappa scan finds no root, then the scan in y one bracket
+        (Model.FDSW1, 1.2e8),
+    ]
+}
+_LONE_BRACKET_RUNS["limit-fdsw1"] = lambda: large_T_limit(Model.FDSW1)
+
+
+@pytest.mark.parametrize("run", _LONE_BRACKET_RUNS.values(), ids=_LONE_BRACKET_RUNS.keys())
+def test_bisect_matches_one_step_reference_on_lone_brackets(monkeypatch, run):
+    calls = _captured_bisect_calls(monkeypatch, run)
+    # the last scan brackets the threshold alone: 9 steps per factor pass
+    assert calls[-1][1].size == 1 and fdsw.analysis._pass_depth(1) == 9
+    for call in calls:
+        _assert_bisect_matches_reference(*call)
+
+
 def test_bisect_exact_zero_at_first_and_deeper_midpoints():
     # on [0.5, 1] the midpoints are dyadic: 0.75 is the first, 0.625 the
     # second and 0.53125 the fourth, all inside one pass
@@ -301,10 +321,10 @@ def test_critical_wavenumber_bisects_several_steps_per_factor_pass(monkeypatch):
 
     monkeypatch.setattr(fdsw.analysis, "factor_arrays", counting)
     result = critical_wavenumber(Model.FDSW2, 0.0)
-    # one scan, then 26 bisection steps in at most 4 passes (27 passes with
-    # one step per pass)
+    # one scan, then 26 bisection steps in 3 passes of at most 9 steps (27
+    # passes with one step per pass)
     assert result.iterations == 26
-    assert len(passes) <= 5
+    assert len(passes) == 4
     assert max(np.size(kappa) for _, kappa, _ in passes[1:]) <= PASS_POINTS
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,3 +248,30 @@ def test_doubled_kappa_overflow_is_a_domain_error(model):
             call(model, 1e308, 0.0)
     with pytest.raises(ValueError, match=message):
         factor_i4(model, 1e308, 0.0)
+
+
+# (kappa, bond, the value named): the kappa check comes first, and an array
+# names its first bad element
+_KAPPA_MESSAGE = "kappa must be finite and positive, got {!r}"
+_BOND_MESSAGE = "bond must be finite and nonnegative, got {!r}"
+_DOMAIN_ERRORS = [
+    *((kappa, 0.2, _KAPPA_MESSAGE.format(kappa)) for kappa in (math.nan, 0.0, -1.0, math.inf)),
+    *((1.0, bond, _BOND_MESSAGE.format(bond)) for bond in (-1.0, math.inf, math.nan)),
+    (math.nan, -1.0, _KAPPA_MESSAGE.format(math.nan)),
+    (0.0, math.inf, _KAPPA_MESSAGE.format(0.0)),
+    (np.array([1.0, -1.0, math.nan]), np.array([0.2, math.nan, -1.0]), _KAPPA_MESSAGE.format(-1.0)),
+    (np.array([[1.0], [2.0]]), np.array([0.2, math.inf, -1.0]), _BOND_MESSAGE.format(math.inf)),
+]
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("kappa,bond,message", _DOMAIN_ERRORS)
+def test_array_domain_errors_name_the_first_bad_value(model, kappa, bond, message):
+    # the array entry points check each point once, with the scalar path's
+    # message; the suite turns a RuntimeWarning into an error, so none is raised
+    calls = [factor_arrays, index_labels]
+    if np.ndim(kappa) == np.ndim(bond) == 0:
+        calls.append(index)
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(model, kappa, bond)
