@@ -26,11 +26,13 @@ zero) decide modulational stability: a positive real part means instability
 with growth rate max Re(lambda) in the e^{lambda*kappa*t} time
 normalization.  They are found without the full spectrum: inverse subspace
 iteration on a six-column block, with M^-1 applied through a Schur
-complement of half the size, then Rayleigh-Ritz.  Each sideband's quartet is
-certified by its Ritz residuals; a sideband that fails the certificate, or
-cannot be solved this way (integer xi), takes instead the four eigenvalues
-of smallest modulus of its dense M.  Either way the quartet is the same four
-eigenvalues, and the growth rate is read from it in one place.
+complement of half the size, in rounds that each end in Rayleigh-Ritz.
+After each round a sideband whose quartet is certified by its Ritz residuals
+locks and leaves the batch; the rest iterate on.  A sideband still
+uncertified after the last round, or that cannot be solved this way
+(integer xi), takes instead the four eigenvalues of smallest modulus of its
+dense M.  Either way the quartet is the same four eigenvalues, and the
+growth rate is read from it in one place.
 """
 
 from __future__ import annotations
@@ -62,13 +64,20 @@ MAX_N_MODES = 256
 # START_MODES of both components, which at zero amplitude span the quartet and
 # the two fast n = +-1 branches beside it.  Each iteration shrinks the error
 # in the quartet's subspace by the ratio of its modulus to that of the 7th
-# eigenvalue nearest the origin.
+# eigenvalue nearest the origin.  The iterations run in at most
+# SUBSPACE_ROUNDS rounds of SUBSPACE_ITERATIONS steps, each round on the
+# sidebands not yet certified.  On the bench oracle ladders (xi_max = a = 1e-2,
+# N = 32) 6 steps certify about 9 of 10 ladders in one round and the rest in
+# two or three; 7 steps per round, or 5, cost more steps in all, and a 4th
+# round sends fewer sidebands of larger xi to the dense solve than a cap of 3.
 START_MODES = (-1, 0, 1)
-SUBSPACE_ITERATIONS = 8
+SUBSPACE_ITERATIONS = 6
+SUBSPACE_ROUNDS = 4
 
 # A quartet is certified when each of its unit Ritz pairs (mu, v) has
 # |M v - mu v| <= QUARTET_TOL * ||M||_F: it is then the exact quartet of a
-# matrix that close to M.  Uncertified sidebands take the dense solve.
+# matrix that close to M.  Sidebands uncertified after the last round take
+# the dense solve.
 QUARTET_TOL = 1e-12
 
 
@@ -149,31 +158,47 @@ class _SidebandBlocks:
         return self.scale[rows] * block
 
     def solver(self):
-        """The map y -> M^-1 y; raises LinAlgError where a Schur complement is singular."""
+        """The map rows -> (y -> M^-1 y at the sidebands ``rows``).
+
+        The Schur complements of every sideband are inverted here, once, and
+        raise LinAlgError where one is singular.  Each ``rows`` selects its
+        inverses and scales once, for every solve made with the map it
+        returns; ``y`` has one leading row per selected sideband.
+        """
         dim = self.symbol.shape[1]
         shared = self.block_a @ self.block_a - self.conv_eta
         schur = np.repeat(shared[None], len(self.symbol), axis=0)
         schur[:, np.arange(dim), np.arange(dim)] -= self.symbol
         schur_inv = np.linalg.inv(schur)
 
-        def solve(y: np.ndarray) -> np.ndarray:
-            z1, z2 = np.split(y / self.scale, 2, axis=1)
-            x2 = schur_inv @ (z1 + self.block_a @ z2)
-            return np.concatenate([self.block_a @ x2 - z2, x2], axis=1)
+        def at(rows):
+            inverse, scale = schur_inv[rows], self.scale[rows]
 
-        return solve
+            def solve(y: np.ndarray) -> np.ndarray:
+                z = y / scale
+                x = np.empty_like(z)
+                x[:, dim:] = inverse @ (z[:, :dim] + self.block_a @ z[:, dim:])
+                x[:, :dim] = self.block_a @ x[:, dim:] - z[:, dim:]
+                return x
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """M x."""
-        x1, x2 = np.split(x, 2, axis=1)
-        top = self.block_a @ x1 - self.symbol[..., None] * x2 - self.conv_eta @ x2
-        return self.scale * np.concatenate([top, self.block_a @ x2 - x1], axis=1)
+            return solve
+
+        return at
+
+    def apply(self, x: np.ndarray, rows) -> np.ndarray:
+        """M x at the sidebands ``rows``, one leading row of ``x`` per sideband."""
+        dim = self.symbol.shape[1]
+        x1, x2 = x[:, :dim], x[:, dim:]
+        y = np.empty_like(x)
+        y[:, :dim] = self.block_a @ x1 - self.symbol[rows, :, None] * x2 - self.conv_eta @ x2
+        y[:, dim:] = self.block_a @ x2 - x1
+        return self.scale[rows] * y
 
     def frobenius(self) -> np.ndarray:
         """||M||_F per sideband, from the rows of D [A, -S - C_eta] and D [-I, A]."""
         rows = 1.0 + 2.0 * np.sum(self.block_a**2, axis=1) + np.sum(self.conv_eta**2, axis=1)
         rows = rows + self.symbol * (self.symbol + 2.0 * np.diag(self.conv_eta))
-        _, shifted = np.split(self.scale[..., 0], 2, axis=1)
+        shifted = self.scale[:, self.symbol.shape[1] :, 0]
         return np.sqrt(np.sum(shifted**2 * rows, axis=1))
 
 
@@ -187,17 +212,40 @@ def assemble(
     return HillProblem(xi=xi, n_modes=n_modes, real_matrix=blocks.dense()[0], wave=wave)
 
 
+def _rayleigh_ritz(blocks: _SidebandBlocks, basis: np.ndarray, rows) -> tuple:
+    """Rayleigh-Ritz on the orthonormal ``basis`` at the sidebands ``rows``.
+
+    Returns the four Ritz values of smallest modulus per sideband, their
+    residuals |M v - mu v| for the unit Ritz vectors v, and whether the
+    projected matrix is finite (where it is not, the values mean nothing).
+    """
+    image = blocks.apply(basis, rows)
+    projected = basis.transpose(0, 2, 1) @ image
+    finite = np.all(np.isfinite(projected), axis=(1, 2))
+    projected[~finite] = 0.0
+    ritz, vectors = np.linalg.eig(projected)
+    keep = np.argsort(np.abs(ritz), axis=1)[:, :4]
+    ritz = np.take_along_axis(ritz, keep, axis=1)
+    vectors = np.take_along_axis(vectors, keep[:, None, :], axis=2)
+    # v = basis @ w for the eigenvectors w of the projection
+    residual = np.linalg.norm((image - basis @ projected) @ vectors, axis=1)
+    return ritz, residual, finite
+
+
 def _quartets(blocks: _SidebandBlocks) -> np.ndarray:
     """The quartet mu of M nearest the origin at each sideband, (sidebands, 4) complex.
 
     Inverse subspace iteration from the modes START_MODES of both
-    components, all sidebands at once, then Rayleigh-Ritz on the basis: the
+    components, in rounds of SUBSPACE_ITERATIONS steps on the live
+    sidebands at once.  Each round ends in Rayleigh-Ritz on the basis: the
     quartet is the four Ritz values of smallest modulus.  A sideband is
-    certified where every value is finite and each Ritz residual is at most
-    QUARTET_TOL * ||M||_F; where D is singular (integer xi) the values are
-    not finite.  Every other sideband, and every sideband when the batched
-    inverse of the Schur complements fails, takes the four eigenvalues of
-    smallest modulus of its dense M, all of them in one stacked eigensolve.
+    certified, and leaves the batch, where every value is finite and each
+    Ritz residual is at most QUARTET_TOL * ||M||_F; where D is singular
+    (integer xi) the values are not finite, and the sideband leaves too.
+    After SUBSPACE_ROUNDS rounds every sideband not certified, and every
+    sideband when the batched inverse of the Schur complements fails, takes
+    the four eigenvalues of smallest modulus of its dense M, all of them in
+    one stacked eigensolve.
     """
     sidebands, dim = blocks.symbol.shape
     quartets = np.empty((sidebands, 4), dtype=complex)
@@ -207,25 +255,25 @@ def _quartets(blocks: _SidebandBlocks) -> np.ndarray:
     basis = np.zeros((sidebands, 2 * dim, start.size))
     basis[:, start, np.arange(start.size)] = 1.0
     try:
-        solve = blocks.solver()
+        solver = blocks.solver()
     except np.linalg.LinAlgError:
         pass
     else:
+        bound = QUARTET_TOL * blocks.frobenius()
+        live = np.arange(sidebands)
         with np.errstate(all="ignore"):
-            for _ in range(SUBSPACE_ITERATIONS):
-                basis = np.linalg.qr(solve(basis))[0]
-            image = blocks.apply(basis)
-            projected = basis.transpose(0, 2, 1) @ image
-            finite = np.all(np.isfinite(projected), axis=(1, 2))
-            projected[~finite] = 0.0
-            ritz, vectors = np.linalg.eig(projected)
-            keep = np.argsort(np.abs(ritz), axis=1)[:, :4]
-            quartets[:] = np.take_along_axis(ritz, keep, axis=1)
-            vectors = np.take_along_axis(vectors, keep[:, None, :], axis=2)
-            # |M v - mu v| for the unit Ritz vectors v = basis @ w
-            residual = np.linalg.norm((image - basis @ projected) @ vectors, axis=1)
-            bound = QUARTET_TOL * blocks.frobenius()
-        certified = finite & np.all(residual <= bound[:, None], axis=1)
+            for _ in range(SUBSPACE_ROUNDS):
+                solve = solver(live)
+                for _ in range(SUBSPACE_ITERATIONS):
+                    basis = np.linalg.qr(solve(basis))[0]
+                ritz, residual, finite = _rayleigh_ritz(blocks, basis, live)
+                done = finite & np.all(residual <= bound[live, None], axis=1)
+                quartets[live[done]] = ritz[done]
+                certified[live[done]] = True
+                # a sideband with values not finite goes to the dense solve now
+                live, basis = live[finite & ~done], basis[finite & ~done]
+                if not live.size:
+                    break
     if not certified.all():
         eigenvalues = np.linalg.eigvals(blocks.dense(~certified))
         keep = np.argsort(np.abs(eigenvalues), axis=1)[:, :4]

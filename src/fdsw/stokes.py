@@ -30,6 +30,7 @@ It is bilinear, so :func:`wave_jacobian` is its exact derivative, and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,6 +106,15 @@ def wave_train(amplitude: float, kappa: float, bond: float) -> WaveTrain:
     )
 
 
+def _exponential_weights(f: np.ndarray, modes: int) -> np.ndarray:
+    """The weights w[0] = f[0], w[k] = f[k]/2 of the cosine series f, k = 0..2*modes."""
+    w = np.zeros(2 * modes + 1)
+    take = min(len(f), w.size)
+    w[:take] = 0.5 * f[:take]
+    w[0] = f[0]
+    return w
+
+
 def _convolution_matrix(f: np.ndarray, modes: int) -> np.ndarray:
     """Multiplication by the cosine series f on exponential modes -modes..modes.
 
@@ -112,12 +122,18 @@ def _convolution_matrix(f: np.ndarray, modes: int) -> np.ndarray:
     w[0] = f[0], w[k] = f[k]/2, and entry (p, q) is w[|p - q|].
     Coefficients of f beyond 2*modes cannot reach the output and are ignored.
     """
-    w = np.zeros(2 * modes + 1)
-    take = min(len(f), w.size)
-    w[:take] = 0.5 * f[:take]
-    w[0] = f[0]
     n = np.arange(2 * modes + 1)
-    return w[np.abs(n[:, None] - n)]
+    return _exponential_weights(f, modes)[np.abs(n[:, None] - n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_indices(modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weight indices |m - j| and m + j of the cosine fold, m, j = 0..modes."""
+    n = np.arange(modes + 1)
+    tables = np.abs(n[:, None] - n), n[:, None] + n
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def cos_product_matrix(f: np.ndarray, modes: int) -> np.ndarray:
@@ -129,12 +145,15 @@ def cos_product_matrix(f: np.ndarray, modes: int) -> np.ndarray:
     the modes +-j, and the coefficient of cos(m z) is twice the weight of
     mode m (once the weight of the mean), so
 
-        C[m, j] = T[m, j] + T[m, -j],   halved on the mean row m = 0.
+        C[m, j] = T[m, j] + T[m, -j] = w[|m - j|] + w[m + j],
 
-    The product is bilinear and symmetric, so C(f) @ g == C(g) @ f.
+    halved on the mean row m = 0.  The index tables of the fold are built
+    once per ``modes``.  The product is bilinear and symmetric, so
+    C(f) @ g == C(g) @ f.
     """
-    conv = _convolution_matrix(f, modes)
-    out = conv[modes:, modes:] + conv[modes:, modes::-1]
+    w = _exponential_weights(f, modes)
+    difference, total = _fold_indices(modes)
+    out = w[difference] + w[total]
     out[0] *= 0.5
     return out
 

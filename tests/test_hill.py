@@ -292,6 +292,30 @@ def _count_eigvals(monkeypatch):
     return calls
 
 
+def _record_rounds(monkeypatch):
+    # the sideband rows of each round, and the leading size of each step's basis
+    rounds, steps = [], []
+    solver = fdsw.hill._SidebandBlocks.solver
+
+    def recorded(blocks):
+        at = solver(blocks)
+
+        def round_at(rows):
+            rounds.append(list(rows))
+            solve = at(rows)
+
+            def step(y):
+                steps.append(len(y))
+                return solve(y)
+
+            return step
+
+        return round_at
+
+    monkeypatch.setattr(fdsw.hill._SidebandBlocks, "solver", recorded)
+    return rounds, steps
+
+
 def test_quartet_growth_matches_dense_reference():
     points = list(probe_points())
     assert len(points) == 23
@@ -308,37 +332,78 @@ def test_band_makes_no_dense_eigensolve(monkeypatch):
     assert calls == []
 
 
+def test_fallback_is_the_dense_solve(monkeypatch):
+    # D = diag(n + xi) is singular at xi = 0: the Ritz values are not finite,
+    # and the sideband leaves for the dense solve after its first round
+    expected = _nearest_reference(0.0, 1e-2, 1.0, 0.0, 32)
+    calls = _count_eigvals(monkeypatch)
+    assert growth_rate(0.0, 1e-2, 1.0, 0.0, 32) == expected
+    assert calls == [(1, 130, 130)]
+
+
 @pytest.mark.parametrize(
-    "xi, kappa, bond",
+    "kappa, bond, rounds",
     [
-        # D = diag(n + xi) is singular at xi = 0
-        (0.0, 1.0, 0.0),
-        # bench oracle seed 4: a Ritz residual of this quartet fails the certificate
-        (1e-2, 2.290395402968728, 0.027558633441806875),
+        # bench oracle seed 4: certified after 6 steps, while 8 steps miss the certificate
+        (2.290395402968728, 0.027558633441806875, 1),
+        # bench oracle seed 4 too
+        (1.9829745594427113, 0.050027723958511544, 2),
     ],
 )
-def test_fallback_is_the_dense_solve(monkeypatch, xi, kappa, bond):
-    expected = _nearest_reference(xi, 1e-2, kappa, bond, 32)
+def test_quartet_is_certified_without_a_dense_solve(monkeypatch, kappa, bond, rounds):
+    expected = _nearest_reference(1e-2, 1e-2, kappa, bond, 32)
     calls = _count_eigvals(monkeypatch)
-    assert growth_rate(xi, 1e-2, kappa, bond, 32) == expected
-    # the uncertified sidebands are one stack of dense matrices
-    assert calls == [(1, 130, 130)]
+    recorded, _ = _record_rounds(monkeypatch)
+    assert abs(growth_rate(1e-2, 1e-2, kappa, bond, 32) - expected) <= 1e-10
+    assert calls == []
+    assert recorded == [[0]] * rounds
 
 
 def test_fallback_at_xi_zero_keeps_its_value():
     assert growth_rate(0.0, 0.01, 1.0, 0.0, 32) == 2.0236852623830495e-09
 
 
-def test_uncertified_sidebands_share_one_dense_eigensolve(monkeypatch):
-    # at xi_max = 0.2 the certificate rejects three of the four rungs here
+def test_wide_ladder_is_certified_in_rounds(monkeypatch):
+    # at xi_max = 0.2 three of the four rungs need more than 8 steps
     xis = [0.2 * fraction for fraction in SIDEBAND_LADDER]
     one_by_one = max(growth_rate(xi, 1e-2, 2.0, 5.0, 32) for xi in xis)
     reference = max(_nearest_reference(xi, 1e-2, 2.0, 5.0, 32) for xi in xis)
     calls = _count_eigvals(monkeypatch)
     growth = growth_rate_band(0.2, 1e-2, 2.0, 5.0, 32)
-    assert calls == [(3, 130, 130)]
-    assert growth == one_by_one
+    assert calls == []
+    assert growth == one_by_one == 0.0
     assert abs(growth - reference) <= 1e-10
+
+
+def test_uncertified_sidebands_share_one_dense_eigensolve(monkeypatch):
+    # at kappa = 0.1 no rung of the ladder is certified in any round
+    xis = [0.01 * fraction for fraction in SIDEBAND_LADDER]
+    wave = fdsw.hill.polish_wave(wave_train(0.01, 0.1, 0.2))
+    blocks = fdsw.hill._SidebandBlocks.build(xis, wave, 32)
+    expected = []
+    for row in range(len(xis)):
+        eigenvalues = np.linalg.eigvals(blocks.dense([row]))[0]
+        expected.append(eigenvalues[np.argsort(np.abs(eigenvalues))[:4]])
+    reference = max(_nearest_reference(xi, 0.01, 0.1, 0.2, 32) for xi in xis)
+    calls = _count_eigvals(monkeypatch)
+    np.testing.assert_array_equal(fdsw.hill._quartets(blocks), expected)
+    assert calls == [(4, 130, 130)]
+    assert growth_rate_band(0.01, 0.01, 0.1, 0.2, 32) == reference
+
+
+def test_second_round_iterates_only_the_uncertified_rows(monkeypatch):
+    rounds, steps = _record_rounds(monkeypatch)
+    growth = growth_rate_band(0.01, 0.01, 1.3, 0.2, 32)
+    # the rung xi_max misses the certificate in the first round alone
+    assert rounds == [[0, 1, 2, 3], [0]]
+    iterations = fdsw.hill.SUBSPACE_ITERATIONS
+    assert steps == [4] * iterations + [1] * iterations
+    # with one round, that rung alone takes the dense solve, at the same label
+    monkeypatch.setattr(fdsw.hill, "SUBSPACE_ROUNDS", 1)
+    calls = _count_eigvals(monkeypatch)
+    dense = growth_rate_band(0.01, 0.01, 1.3, 0.2, 32)
+    assert calls == [(1, 130, 130)]
+    assert abs(dense - growth) <= 1e-10
 
 
 def test_fallback_quartet_is_nearest_the_origin():
@@ -357,8 +422,8 @@ def test_block_solve_matches_dense_solve(xi, kappa, bond):
     blocks = fdsw.hill._SidebandBlocks.build([xi], prob.wave, 32)
     y = np.random.default_rng(0).standard_normal((1, 130, 3))
     expected = np.linalg.solve(prob.real_matrix, y[0])
-    found = blocks.solver()(y)[0]
+    found = blocks.solver()([0])(y)[0]
     assert np.linalg.norm(found - expected) <= 1e-9 * np.linalg.norm(expected)
     product = prob.real_matrix @ y[0]
-    assert np.abs(blocks.apply(y)[0] - product).max() <= 1e-12 * np.abs(product).max()
+    assert np.abs(blocks.apply(y, [0])[0] - product).max() <= 1e-12 * np.abs(product).max()
     assert blocks.frobenius()[0] == pytest.approx(np.linalg.norm(prob.real_matrix), rel=1e-12)

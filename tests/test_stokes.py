@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdsw.bloch import classify_band
 from fdsw.dispersion import eval_dispersion_squared
@@ -10,6 +12,7 @@ from fdsw.hill import growth_rate
 from fdsw.stokes import (
     POLISH_MODES,
     ResonanceError,
+    _convolution_matrix,
     cos_product_matrix,
     harmonic_coeffs,
     polish_wave,
@@ -248,6 +251,24 @@ def test_cos_product_matrix_matches_loop(n_f, modes):
     np.testing.assert_allclose(cos_product_matrix(f, modes) @ g, expected, atol=1e-14)
     if n_f == modes + 1:
         np.testing.assert_allclose(cos_product_matrix(g, modes) @ f, expected, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modes=st.integers(4, 20),
+    f=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=45
+    ),
+)
+def test_cos_product_matrix_is_the_folded_convolution(modes, f):
+    # C[m, j] = T[m, j] + T[m, -j] on the exponential-mode convolution T, the
+    # mean row halved, bit for bit (an overflowing sum is inf on both sides)
+    f = np.array(f)
+    with np.errstate(over="ignore"):
+        conv = _convolution_matrix(f, modes)
+        folded = conv[modes:, modes:] + conv[modes:, modes::-1]
+        folded[0] *= 0.5
+        assert np.array_equal(cos_product_matrix(f, modes), folded)
 
 
 @pytest.mark.parametrize(
