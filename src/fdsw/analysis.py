@@ -120,7 +120,12 @@ def _factor_rows(which: Sequence[str]) -> list[int]:
 
 
 def _factor_roots(
-    model: Model, which: Sequence[str], bonds: np.ndarray, grid: np.ndarray, scale: float = 1.0
+    model: Model,
+    which: Sequence[str],
+    bonds: np.ndarray,
+    grid: np.ndarray,
+    scale: float = 1.0,
+    ymax: float = math.inf,
 ) -> _Roots:
     """Every sign change of the named factors along every Bond number.
 
@@ -130,7 +135,9 @@ def _factor_roots(
     roots and brackets are returned in s.  Sign changes are products of
     finite neighbours below zero, as in float arithmetic: an overflowed or
     underflowed product raises no warning.  A jump to or from inf or nan is
-    overflow and brackets nothing.
+    overflow and brackets nothing.  A sign change whose lower end s has
+    s*sqrt(T) > ymax is left out before any bisection: its root is at least
+    s, and rounding is monotone, so root*sqrt(T) > ymax too.
     """
     rows = _factor_rows(which)
     bonds = np.asarray(bonds, dtype=float)
@@ -142,6 +149,9 @@ def _factor_roots(
         change = values[..., :-1] * values[..., 1:] < 0.0
     event[..., :-1] |= change & finite[..., :-1] & finite[..., 1:]
     factor, ray, i = np.nonzero(event)
+    if ymax < math.inf:
+        inside = grid[i] * np.sqrt(bonds[ray]) <= ymax
+        factor, ray, i = factor[inside], ray[inside], i[inside]
     lo = grid[i]
     bracketed = ~zero[factor, ray, i]
     hi = lo.copy()
@@ -458,7 +468,8 @@ def stability_diagram(
     # Fixed T is a ray of slope sqrt(T) through the origin; each mechanism
     # curve is swept by bisecting its factor along rays of increasing slope.
     rays = np.array([0.0] + list(np.geomspace(1e-4, t_max, CURVE_SAMPLES - 1)))
-    found = _factor_roots(model, MECHANISM_FACTORS, rays, _scan_grid(CURVE_K_MIN, kmax, 400))
+    grid = _scan_grid(CURVE_K_MIN, kmax, 400)
+    found = _factor_roots(model, MECHANISM_FACTORS, rays, grid, ymax=ymax)
     y = found.root * np.sqrt(rays[found.ray])
     keep = y <= ymax
     curves = []

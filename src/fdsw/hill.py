@@ -26,13 +26,18 @@ zero) decide modulational stability: a positive real part means instability
 with growth rate max Re(lambda) in the e^{lambda*kappa*t} time
 normalization.  They are found without the full spectrum: inverse subspace
 iteration on a six-column block, with M^-1 applied through a Schur
-complement of half the size, in rounds that each end in Rayleigh-Ritz.
-After each round a sideband whose quartet is certified by its Ritz residuals
-locks and leaves the batch; the rest iterate on.  A sideband still
-uncertified after the last round, or that cannot be solved this way
-(integer xi), takes instead the four eigenvalues of smallest modulus of its
-dense M.  Either way the quartet is the same four eigenvalues, and the
-growth rate is read from it in one place.
+complement of half the size, in rounds that each end in Rayleigh-Ritz.  The
+iteration runs first on the core truncation to the CORE_MODES modes nearest
+n = 0, where the wave couples modes through coefficients falling off like
+a^|n|, but every round is certified on the full M: the core rows of M times
+the embedded basis are the core operator's, the other rows are what the
+core leaks.  After each round a sideband whose quartet is certified on M
+locks and leaves the batch; a sideband certified on the core rows alone
+goes on with M itself, from its embedded basis; the rest iterate on.  A
+sideband still uncertified after the last round, or that cannot be solved
+this way (integer xi), takes instead the four eigenvalues of smallest
+modulus of its dense M.  Either way the quartet is the same four
+eigenvalues, and the growth rate is read from it in one place.
 """
 
 from __future__ import annotations
@@ -55,9 +60,11 @@ from .stokes import (
 # Largest truncation accepted.  The dense real matrix M takes 8*(4N + 2)**2
 # bytes: 8.4 MB at N = 256 (its complex form L twice that).  The quartet
 # solve never forms M; a Schur complement and its inverse take half of that
-# per sideband.  Both solves grow as N**3: at N = 256 a four-sideband ladder
-# took about 0.2 s by the quartet solve and 3 s by dense eigensolves (2-vCPU
-# x86_64, one BLAS thread).
+# per sideband, formed only where the core truncation leaks.  That inverse and
+# the dense solve grow as N**3: at N = 256 a four-sideband ladder at
+# (kappa, T) = (2, 0) took about 10 ms by the quartet solve on its core, about
+# 0.14 s at a = 0.1, where every sideband leaks and takes the full inverse,
+# and 3 s by dense eigensolves (2-vCPU x86_64, one BLAS thread).
 MAX_N_MODES = 256
 
 # The quartet solve: inverse subspace iteration from the Fourier modes
@@ -73,6 +80,14 @@ MAX_N_MODES = 256
 START_MODES = (-1, 0, 1)
 SUBSPACE_ITERATIONS = 6
 SUBSPACE_ROUNDS = 4
+
+# The quartet solve iterates on the modes -CORE_MODES..CORE_MODES first: a
+# Schur complement of 33 rows, not 65, at the bench's N = 32.  On the
+# bench oracle ladders of 40 seeds (3,999 ladders, N = 32) 12 modes send
+# 1,057 of 15,996 sidebands on to M itself, 16 send 172 and 24 send 9; per
+# ladder (in process, minimum of 7, interleaved) 16 modes had the lowest
+# mean and 90th percentile, 12 about the same median, and 24 about 10% more.
+CORE_MODES = 16
 
 # A quartet is certified when each of its unit Ritz pairs (mu, v) has
 # |M v - mu v| <= QUARTET_TOL * ||M||_F: it is then the exact quartet of a
@@ -123,7 +138,8 @@ class _SidebandBlocks:
     2*dim x 2*dim M.  A^2 - C_eta is shared; only S differs per sideband.
     Stacked operands have one leading row per sideband.  This is the one
     statement of M: :meth:`dense` forms it for :func:`assemble` and the dense
-    solve, and the quartet solve uses :meth:`apply` and :meth:`solver`.
+    solve, and the quartet solve uses :meth:`apply` and :meth:`solver`, on M
+    or on the core truncation :meth:`truncated` cuts from it.
     """
 
     scale: np.ndarray  # the diagonal of D, (sidebands, 2*dim, 1)
@@ -194,6 +210,23 @@ class _SidebandBlocks:
         y[:, dim:] = self.block_a @ x2 - x1
         return self.scale[rows] * y
 
+    def truncated(self, rows, modes: int) -> _SidebandBlocks:
+        """The blocks at the sidebands ``rows`` on the modes -modes..modes alone.
+
+        Each block keeps its central rows and columns, so the M they state
+        is the central part of this M, entry for entry: that of the
+        truncation to ``modes``, about the same wave.
+        """
+        dim = self.symbol.shape[1]
+        central = slice(dim // 2 - modes, dim // 2 + modes + 1)
+        scale = self.scale[rows]
+        return _SidebandBlocks(
+            scale=_core_rows(scale, modes).reshape(len(scale), -1, 1),
+            symbol=self.symbol[rows, central],
+            block_a=self.block_a[central, central],
+            conv_eta=self.conv_eta[central, central],
+        )
+
     def frobenius(self) -> np.ndarray:
         """||M||_F per sideband, from the rows of D [A, -S - C_eta] and D [-I, A]."""
         rows = 1.0 + 2.0 * np.sum(self.block_a**2, axis=1) + np.sum(self.conv_eta**2, axis=1)
@@ -212,15 +245,44 @@ def assemble(
     return HillProblem(xi=xi, n_modes=n_modes, real_matrix=blocks.dense()[0], wave=wave)
 
 
+def _core_rows(array: np.ndarray, modes: int) -> np.ndarray:
+    """The rows of the modes -modes..modes of both components, as a view.
+
+    ``array`` has one leading row per sideband and the 2*dim rows of M's
+    two components next; the view is (sidebands, 2, 2*modes + 1, columns).
+    """
+    sidebands, rows, columns = array.shape
+    dim = rows // 2
+    central = slice(dim // 2 - modes, dim // 2 + modes + 1)
+    return array.reshape(sidebands, 2, dim, columns)[:, :, central]
+
+
+def _embed(basis: np.ndarray, dim: int) -> np.ndarray:
+    """``basis`` on a core truncation, zero-padded to the modes of M (``dim`` per component)."""
+    sidebands, rows, columns = basis.shape
+    if rows == 2 * dim:
+        return basis
+    padded = np.zeros((sidebands, 2 * dim, columns))
+    _core_rows(padded, rows // 4)[...] = basis.reshape(sidebands, 2, rows // 2, columns)
+    return padded
+
+
 def _rayleigh_ritz(blocks: _SidebandBlocks, basis: np.ndarray, rows) -> tuple:
     """Rayleigh-Ritz on the orthonormal ``basis`` at the sidebands ``rows``.
 
-    Returns the four Ritz values of smallest modulus per sideband, their
-    residuals |M v - mu v| for the unit Ritz vectors v, and whether the
-    projected matrix is finite (where it is not, the values mean nothing).
+    ``basis`` lies on the modes of M or of a core truncation of them; it is
+    embedded in M's modes with zeros.  Returns the four Ritz values of
+    smallest modulus per sideband, their residuals |M v - mu v| for the unit
+    Ritz vectors v, the same residuals on the core rows alone, and whether
+    the projected matrix is finite (where it is not, the values mean
+    nothing).  The core rows of M v are those of M_core v, so the core
+    residuals are those of M_core, and the rest is what the truncation
+    leaks; on M's own modes both residuals are one array.
     """
-    image = blocks.apply(basis, rows)
-    projected = basis.transpose(0, 2, 1) @ image
+    dim = blocks.symbol.shape[1]
+    padded = _embed(basis, dim)
+    image = blocks.apply(padded, rows)
+    projected = padded.transpose(0, 2, 1) @ image
     finite = np.all(np.isfinite(projected), axis=(1, 2))
     projected[~finite] = 0.0
     ritz, vectors = np.linalg.eig(projected)
@@ -228,52 +290,95 @@ def _rayleigh_ritz(blocks: _SidebandBlocks, basis: np.ndarray, rows) -> tuple:
     ritz = np.take_along_axis(ritz, keep, axis=1)
     vectors = np.take_along_axis(vectors, keep[:, None, :], axis=2)
     # v = basis @ w for the eigenvectors w of the projection
-    residual = np.linalg.norm((image - basis @ projected) @ vectors, axis=1)
-    return ritz, residual, finite
+    vectors = (image - padded @ projected) @ vectors
+    residual = np.linalg.norm(vectors, axis=1)
+    if padded is basis:
+        return ritz, residual, residual, finite
+    core = np.linalg.norm(_core_rows(vectors, basis.shape[1] // 4), axis=(1, 2))
+    return ritz, residual, core, finite
+
+
+def _rounds(truncated: _SidebandBlocks, blocks: _SidebandBlocks, basis, bound, steps) -> tuple:
+    """Rounds of inverse subspace iteration on ``truncated``, certified on ``blocks``.
+
+    ``truncated`` states M at the same sidebands as ``blocks``, on all of
+    its modes or on a core of them, and ``basis`` is the start block on its
+    modes.  Round r takes ``steps[r]`` steps on the live sidebands at once
+    and ends in Rayleigh-Ritz on M.  A sideband leaves the batch once it is
+    certified (every value finite, each Ritz residual at most ``bound``),
+    once the core leaks (the residuals meet the bound on the core rows but
+    not on M) or once a value is not finite (as where D is singular, at
+    integer xi); so its path depends on its own residuals alone.  Returns
+    the masks of certified and of leaking sidebands, the Ritz values of the
+    certified and the basis each leaking one left with.  A sideband in
+    neither mask is left for the dense solve, as is every sideband when the
+    batched inverse of the Schur complements fails.
+    """
+    sidebands = len(bound)
+    quartets = np.empty((sidebands, 4), dtype=complex)
+    done = np.zeros(sidebands, dtype=bool)
+    leaks = np.zeros(sidebands, dtype=bool)
+    left = np.empty_like(basis)
+    try:
+        solver = truncated.solver()
+    except np.linalg.LinAlgError:
+        return done, leaks, quartets, left
+    live = np.arange(sidebands)
+    with np.errstate(all="ignore"):
+        for count in steps:
+            solve = solver(live)
+            for _ in range(count):
+                basis = np.linalg.qr(solve(basis))[0]
+            ritz, residual, core, finite = _rayleigh_ritz(blocks, basis, live)
+            fits = finite & np.all(residual <= bound[live, None], axis=1)
+            leaking = finite & ~fits & np.all(core <= bound[live, None], axis=1)
+            quartets[live[fits]] = ritz[fits]
+            done[live[fits]] = True
+            leaks[live[leaking]] = True
+            left[live[leaking]] = basis[leaking]
+            going = finite & ~fits & ~leaking
+            live, basis = live[going], basis[going]
+            if not live.size:
+                break
+    return done, leaks, quartets, left
 
 
 def _quartets(blocks: _SidebandBlocks) -> np.ndarray:
     """The quartet mu of M nearest the origin at each sideband, (sidebands, 4) complex.
 
     Inverse subspace iteration from the modes START_MODES of both
-    components, in rounds of SUBSPACE_ITERATIONS steps on the live
-    sidebands at once.  Each round ends in Rayleigh-Ritz on the basis: the
-    quartet is the four Ritz values of smallest modulus.  A sideband is
-    certified, and leaves the batch, where every value is finite and each
-    Ritz residual is at most QUARTET_TOL * ||M||_F; where D is singular
-    (integer xi) the values are not finite, and the sideband leaves too.
-    After SUBSPACE_ROUNDS rounds every sideband not certified, and every
-    sideband when the batched inverse of the Schur complements fails, takes
-    the four eigenvalues of smallest modulus of its dense M, all of them in
-    one stacked eigensolve.
+    components, in :func:`_rounds` of SUBSPACE_ITERATIONS steps, first on
+    the truncation of M to its CORE_MODES central modes (on M itself when it
+    has no more) and always certified on M: every Ritz residual at most
+    QUARTET_TOL * ||M||_F.  A sideband where the core leaks goes on in
+    rounds on M itself, from its core basis embedded in M's modes; a
+    sideband that does not converge on the core stays there.  Every
+    sideband not certified by then takes the four eigenvalues of smallest
+    modulus of its dense M, all of them in one stacked eigensolve.
     """
     sidebands, dim = blocks.symbol.shape
+    n_modes = dim // 2
+    modes = min(n_modes, CORE_MODES)
     quartets = np.empty((sidebands, 4), dtype=complex)
-    certified = np.zeros(sidebands, dtype=bool)
-    start = dim // 2 + np.array(START_MODES)
-    start = np.concatenate([start, dim + start])
-    basis = np.zeros((sidebands, 2 * dim, start.size))
+    start = modes + np.array(START_MODES)
+    start = np.concatenate([start, 2 * modes + 1 + start])
+    basis = np.zeros((sidebands, 2 * (2 * modes + 1), start.size))
     basis[:, start, np.arange(start.size)] = 1.0
-    try:
-        solver = blocks.solver()
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        bound = QUARTET_TOL * blocks.frobenius()
-        live = np.arange(sidebands)
-        with np.errstate(all="ignore"):
-            for _ in range(SUBSPACE_ROUNDS):
-                solve = solver(live)
-                for _ in range(SUBSPACE_ITERATIONS):
-                    basis = np.linalg.qr(solve(basis))[0]
-                ritz, residual, finite = _rayleigh_ritz(blocks, basis, live)
-                done = finite & np.all(residual <= bound[live, None], axis=1)
-                quartets[live[done]] = ritz[done]
-                certified[live[done]] = True
-                # a sideband with values not finite goes to the dense solve now
-                live, basis = live[finite & ~done], basis[finite & ~done]
-                if not live.size:
-                    break
+    bound = QUARTET_TOL * blocks.frobenius()
+    rounds = (SUBSPACE_ITERATIONS,) * SUBSPACE_ROUNDS
+    core = blocks if modes == n_modes else blocks.truncated(slice(None), modes)
+    certified, leaks, found, basis = _rounds(core, blocks, basis, bound, rounds)
+    quartets[certified] = found[certified]
+    if leaks.any():
+        # from a basis converged on the core, one step on M mostly certifies:
+        # Rayleigh-Ritz after it splits the first round
+        full = blocks.truncated(leaks, n_modes)
+        basis = _embed(basis[leaks], dim)
+        rounds = (1, SUBSPACE_ITERATIONS - 1, *rounds[1:])
+        done, _, found, _ = _rounds(full, full, basis, bound[leaks], rounds)
+        moved = np.flatnonzero(leaks)[done]
+        quartets[moved] = found[done]
+        certified[moved] = True
     if not certified.all():
         eigenvalues = np.linalg.eigvals(blocks.dense(~certified))
         keep = np.argsort(np.abs(eigenvalues), axis=1)[:, :4]

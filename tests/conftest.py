@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from fdsw.analysis import find_factor_roots
 from fdsw.factors import Branch, Model, factor_i1, factor_i2, factor_i3, factor_i4
+from fdsw.hill import assemble
 
 # The oracle probe grid of the acceptance triangle and the pencil tests.
 PROBE_KAPPAS = (0.3, 0.5, 0.8, 1.5, 2.0, 3.0)
@@ -32,6 +34,13 @@ def probe_points():
             if detune < 0.05:
                 continue
             yield kappa, bond
+
+
+def nearest_reference(xi, a, kappa, bond, n_modes):
+    """Growth of the four eigenvalues of L = 1j*M of smallest modulus: the dense quartet."""
+    eigenvalues = 1j * np.linalg.eigvals(assemble(xi, a, kappa, bond, n_modes).real_matrix)
+    quartet = eigenvalues[np.argsort(np.abs(eigenvalues))[:4]]
+    return max(0.0, float(quartet.real.max()))
 
 
 _verdicts: list[str] = []

@@ -189,13 +189,21 @@ def test_bisect_matches_one_step_reference_on_intervals(monkeypatch, model, bond
     _assert_bisect_matches_reference(*calls[0])
 
 
-def test_bisect_matches_one_step_reference_on_diagram_curves(monkeypatch):
+@pytest.mark.parametrize(
+    "kmax, ymax, depth",
+    [
+        # about a hundred brackets inside the default window: two steps a pass
+        (3.0, 3.0, 2),
+        # hundreds of brackets: the first passes are plain one-step bisection
+        (30.0, 30.0, 1),
+    ],
+)
+def test_bisect_matches_one_step_reference_on_diagram_curves(monkeypatch, kmax, ymax, depth):
     calls = _captured_bisect_calls(
-        monkeypatch, lambda: stability_diagram(Model.FDSW2, resolution=2)
+        monkeypatch, lambda: stability_diagram(Model.FDSW2, kmax, ymax, resolution=2)
     )
     (evaluate, lo, hi, f_lo), = calls
-    # hundreds of brackets: the first passes are plain one-step bisection
-    assert fdsw.analysis._pass_depth(lo.size) == 1
+    assert fdsw.analysis._pass_depth(lo.size) == depth
     _assert_bisect_matches_reference(evaluate, lo, hi, f_lo)
 
 
@@ -577,6 +585,36 @@ def test_diagram_grid_and_curves():
     axis_points = [k for k, y in r4.points if y == 0.0]
     assert any(abs(k - 1.008) < 0.002 for k in axis_points)
     assert {c.mechanism for c in diagram.curves} == {"R1", "R2", "R3", "R4"}
+
+
+@given(
+    model=st.sampled_from(list(Model)),
+    kmax=st.floats(0.01, 10.0),
+    ymax=st.floats(1e-3, 20.0),
+)
+@settings(max_examples=20, deadline=None)
+def test_curve_brackets_above_the_window_are_dropped_unchanged(model, kmax, ymax):
+    # the curves bisect only brackets whose lower end is inside the window;
+    # the roots they keep are those of bisecting every bracket, bit for bit
+    rays = np.array([0.0] + list(np.geomspace(1e-4, (ymax / 1e-3) ** 2, 199)))
+    grid = fdsw.analysis._scan_grid(fdsw.analysis.CURVE_K_MIN, kmax, 400)
+    factors = fdsw.analysis.MECHANISM_FACTORS
+    every = fdsw.analysis._factor_roots(model, factors, rays, grid)
+    inside = fdsw.analysis._factor_roots(model, factors, rays, grid, ymax=ymax)
+
+    def kept(found):
+        keep = found.root * np.sqrt(rays[found.ray]) <= ymax
+        return [
+            getattr(found, name)[keep].tobytes()
+            for name in ("factor", "ray", "root", "lo", "hi", "iterations")
+        ]
+
+    assert kept(inside) == kept(every)
+    assert inside.root.size <= every.root.size
+    assert inside.finite == every.finite
+    diagram = stability_diagram(model, kmax, ymax, resolution=2)
+    points = [point for curve in diagram.curves for point in curve.points]
+    assert len(points) == int(np.sum(inside.root * np.sqrt(rays[inside.ray]) <= ymax))
 
 
 def test_diagram_inconclusive_on_bond_third_line():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import probe_points
+from conftest import nearest_reference, probe_points
 
 import fdsw.hill
 from fdsw.bloch import Stability, classify_band
@@ -116,6 +116,10 @@ def test_truncation_stability():
     g32 = growth_rate(0.01, 0.01, 2.0, 0.0, 32)
     g48 = growth_rate(0.01, 0.01, 2.0, 0.0, 48)
     assert abs(g48 - g32) < 1e-10
+    # both iterate on the same core truncation; the dense quartet of M itself holds them
+    reference = nearest_reference(0.01, 0.01, 2.0, 0.0, 48)
+    assert abs(g32 - reference) < 1e-10
+    assert abs(g48 - reference) < 1e-10
 
 
 def test_band_sweep_catches_narrow_bands():
@@ -273,13 +277,6 @@ def _dense_reference(xi, a, kappa, bond, n_modes):
     return max(0.0, float(near.real.max())) if near.size else 0.0
 
 
-def _nearest_reference(xi, a, kappa, bond, n_modes):
-    # the four eigenvalues of L = 1j*M of smallest modulus: the quartet of the dense solve
-    eigenvalues = 1j * np.linalg.eigvals(assemble(xi, a, kappa, bond, n_modes).real_matrix)
-    quartet = eigenvalues[np.argsort(np.abs(eigenvalues))[:4]]
-    return max(0.0, float(quartet.real.max()))
-
-
 def _count_eigvals(monkeypatch):
     calls = []
     eigvals = np.linalg.eigvals
@@ -293,11 +290,13 @@ def _count_eigvals(monkeypatch):
 
 
 def _record_rounds(monkeypatch):
-    # the sideband rows of each round, and the leading size of each step's basis
-    rounds, steps = [], []
+    # the sideband rows of each round, the leading size of each step's basis,
+    # and the number of modes each stage iterates on (its Schur complement rows)
+    rounds, steps, sizes = [], [], []
     solver = fdsw.hill._SidebandBlocks.solver
 
     def recorded(blocks):
+        sizes.append(blocks.symbol.shape[1])
         at = solver(blocks)
 
         def round_at(rows):
@@ -313,7 +312,7 @@ def _record_rounds(monkeypatch):
         return round_at
 
     monkeypatch.setattr(fdsw.hill._SidebandBlocks, "solver", recorded)
-    return rounds, steps
+    return rounds, steps, sizes
 
 
 def test_quartet_growth_matches_dense_reference():
@@ -335,7 +334,7 @@ def test_band_makes_no_dense_eigensolve(monkeypatch):
 def test_fallback_is_the_dense_solve(monkeypatch):
     # D = diag(n + xi) is singular at xi = 0: the Ritz values are not finite,
     # and the sideband leaves for the dense solve after its first round
-    expected = _nearest_reference(0.0, 1e-2, 1.0, 0.0, 32)
+    expected = nearest_reference(0.0, 1e-2, 1.0, 0.0, 32)
     calls = _count_eigvals(monkeypatch)
     assert growth_rate(0.0, 1e-2, 1.0, 0.0, 32) == expected
     assert calls == [(1, 130, 130)]
@@ -351,12 +350,13 @@ def test_fallback_is_the_dense_solve(monkeypatch):
     ],
 )
 def test_quartet_is_certified_without_a_dense_solve(monkeypatch, kappa, bond, rounds):
-    expected = _nearest_reference(1e-2, 1e-2, kappa, bond, 32)
+    expected = nearest_reference(1e-2, 1e-2, kappa, bond, 32)
     calls = _count_eigvals(monkeypatch)
-    recorded, _ = _record_rounds(monkeypatch)
+    recorded, _, sizes = _record_rounds(monkeypatch)
     assert abs(growth_rate(1e-2, 1e-2, kappa, bond, 32) - expected) <= 1e-10
     assert calls == []
     assert recorded == [[0]] * rounds
+    assert sizes == [2 * fdsw.hill.CORE_MODES + 1]
 
 
 def test_fallback_at_xi_zero_keeps_its_value():
@@ -367,7 +367,7 @@ def test_wide_ladder_is_certified_in_rounds(monkeypatch):
     # at xi_max = 0.2 three of the four rungs need more than 8 steps
     xis = [0.2 * fraction for fraction in SIDEBAND_LADDER]
     one_by_one = max(growth_rate(xi, 1e-2, 2.0, 5.0, 32) for xi in xis)
-    reference = max(_nearest_reference(xi, 1e-2, 2.0, 5.0, 32) for xi in xis)
+    reference = max(nearest_reference(xi, 1e-2, 2.0, 5.0, 32) for xi in xis)
     calls = _count_eigvals(monkeypatch)
     growth = growth_rate_band(0.2, 1e-2, 2.0, 5.0, 32)
     assert calls == []
@@ -384,7 +384,7 @@ def test_uncertified_sidebands_share_one_dense_eigensolve(monkeypatch):
     for row in range(len(xis)):
         eigenvalues = np.linalg.eigvals(blocks.dense([row]))[0]
         expected.append(eigenvalues[np.argsort(np.abs(eigenvalues))[:4]])
-    reference = max(_nearest_reference(xi, 0.01, 0.1, 0.2, 32) for xi in xis)
+    reference = max(nearest_reference(xi, 0.01, 0.1, 0.2, 32) for xi in xis)
     calls = _count_eigvals(monkeypatch)
     np.testing.assert_array_equal(fdsw.hill._quartets(blocks), expected)
     assert calls == [(4, 130, 130)]
@@ -392,8 +392,10 @@ def test_uncertified_sidebands_share_one_dense_eigensolve(monkeypatch):
 
 
 def test_second_round_iterates_only_the_uncertified_rows(monkeypatch):
-    rounds, steps = _record_rounds(monkeypatch)
+    rounds, steps, sizes = _record_rounds(monkeypatch)
     growth = growth_rate_band(0.01, 0.01, 1.3, 0.2, 32)
+    # every round runs on the core truncation, and no sideband leaks from it
+    assert sizes == [2 * fdsw.hill.CORE_MODES + 1]
     # the rung xi_max misses the certificate in the first round alone
     assert rounds == [[0, 1, 2, 3], [0]]
     iterations = fdsw.hill.SUBSPACE_ITERATIONS
@@ -404,6 +406,70 @@ def test_second_round_iterates_only_the_uncertified_rows(monkeypatch):
     dense = growth_rate_band(0.01, 0.01, 1.3, 0.2, 32)
     assert calls == [(1, 130, 130)]
     assert abs(dense - growth) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "n_modes, a, expected",
+    [
+        # the values of the quartet solve before it had a core truncation
+        (16, 0.01, 4.5776230656501125e-05),
+        (16, 0.05, 0.0002463070936475007),
+        (8, 0.01, 4.577623065651e-05),
+    ],
+)
+def test_small_truncations_build_no_core(monkeypatch, n_modes, a, expected):
+    # n_modes <= CORE_MODES: the rounds run on M itself, as without a core
+    def no_core(*_):
+        raise AssertionError("built a truncation of the blocks")
+
+    monkeypatch.setattr(fdsw.hill._SidebandBlocks, "truncated", no_core)
+    assert n_modes <= fdsw.hill.CORE_MODES
+    assert growth_rate_band(0.01, a, 2.0, 0.0, n_modes) == expected
+
+
+@pytest.mark.parametrize(
+    "a, core",
+    [
+        # at a = 0.1 the wave's coefficients fall off slowly enough to leak from 16 modes
+        (0.1, None),
+        (0.03, 4),
+    ],
+)
+def test_leaking_core_goes_on_with_the_full_truncation(monkeypatch, a, core):
+    if core is not None:
+        monkeypatch.setattr(fdsw.hill, "CORE_MODES", core)
+    core = fdsw.hill.CORE_MODES
+    expected = nearest_reference(1e-2, a, 2.0, 0.0, 32)
+    calls = _count_eigvals(monkeypatch)
+    rounds, steps, sizes = _record_rounds(monkeypatch)
+    growth = growth_rate(1e-2, a, 2.0, 0.0, 32)
+    # the core's own quartet is off by more: 7.6e-9 and 1.9e-7
+    assert abs(growth - expected) <= 1e-10
+    assert growth > GROWTH_THRESHOLD
+    # certified on the core rows in one round, then on M within as many steps
+    # again, in a first round of one step and a second of the rest
+    assert sizes == [2 * core + 1, 65]
+    assert rounds == [[0]] * 3
+    assert steps == [1] * (2 * fdsw.hill.SUBSPACE_ITERATIONS)
+    assert calls == []
+
+
+def test_leaking_rungs_take_one_step_on_the_full_truncation(monkeypatch):
+    # near the second-harmonic resonance (i3 = -0.008) the wave's harmonics fall
+    # off slowly, and every rung leaks from the core
+    xis = [0.01 * fraction for fraction in SIDEBAND_LADDER]
+    reference = max(nearest_reference(xi, 0.03, 1.3, 0.2, 32) for xi in xis)
+    calls = _count_eigvals(monkeypatch)
+    rounds, steps, sizes = _record_rounds(monkeypatch)
+    growth = growth_rate_band(0.01, 0.03, 1.3, 0.2, 32)
+    assert abs(growth - reference) <= 1e-10
+    # the rung xi_max leaks after a second core round; a single step on M,
+    # from the embedded core bases, certifies all four
+    assert sizes == [2 * fdsw.hill.CORE_MODES + 1, 65]
+    assert rounds == [[0, 1, 2, 3], [0], [0, 1, 2, 3]]
+    iterations = fdsw.hill.SUBSPACE_ITERATIONS
+    assert steps == [4] * iterations + [1] * iterations + [4]
+    assert calls == []
 
 
 def test_fallback_quartet_is_nearest_the_origin():
