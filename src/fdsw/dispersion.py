@@ -25,14 +25,14 @@ roughly k**-2 digits to cancellation, so a Maclaurin expansion of tanh(k)/k
 
 The formulas are written once, in plain arithmetic that serves Python
 floats and numpy arrays alike.  :func:`eval_dispersion` evaluates one point
-with ``math``; :func:`eval_dispersion_array` evaluates whole arrays with
-``np.tanh``/``np.sqrt`` and picks the series branch per element; likewise
-:func:`eval_dispersion_squared` and :func:`eval_dispersion_squared_array`
-for the Fourier-multiplier symbol alone, which compute m = tanh(k)/k
-without its derivatives.  The symbol is the very product (1 + T*k**2)*m
-whose root is the sample's c, so its square root at the second harmonic
-2*k is c(2*k) bit for bit: the index and the wave expansion read c(2*k)
-from it.
+with ``math``; :func:`_harmonic_sample_array`, the array form the factors
+read, evaluates whole arrays with ``np.tanh``/``np.sqrt`` and picks the
+series branch per element; likewise :func:`eval_dispersion_squared` and
+:func:`eval_dispersion_squared_array` for the Fourier-multiplier symbol
+alone, which compute m = tanh(k)/k without its derivatives.  The symbol is
+the very product (1 + T*k**2)*m whose root is the sample's c, so its square
+root at the second harmonic 2*k is c(2*k) bit for bit: the index and the
+wave expansion read c(2*k) from it.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class DispersionSample:
     """Phase speed and derivative quantities at (kappa, bond).
 
     The fields are floats from :func:`eval_dispersion` and arrays, broadcast
-    over kappa and bond, from :func:`eval_dispersion_array`.
+    over kappa and bond, from :func:`_harmonic_sample_array`.
 
     Attributes
     ----------
@@ -219,19 +219,6 @@ def eval_dispersion(kappa: float, bond: float) -> DispersionSample:
     return _sample(kappa, bond, *_pick(kappa, _kernel_series, _kernel_direct), math.sqrt)
 
 
-def eval_dispersion_array(kappa, bond) -> DispersionSample:
-    """:func:`eval_dispersion` at every point of ``kappa`` and ``bond``, broadcast.
-
-    The result's fields are arrays.  Values that overflow become inf or nan
-    without a warning, as the float arithmetic of :func:`eval_dispersion`
-    does.
-    """
-    kappa, bond = _domain_arrays(kappa, bond)
-    with np.errstate(all="ignore"):
-        kernel = _pick_array(kappa, _kernel_series, _kernel_direct)
-        return _sample(kappa, bond, *kernel, np.sqrt)
-
-
 def eval_dispersion_squared(kappa: float, bond: float) -> float:
     """The Fourier-multiplier symbol c(kappa)**2 = (1 + T*kappa**2)*tanh(kappa)/kappa.
 
@@ -257,7 +244,9 @@ def eval_dispersion_squared_array(kappa, bond) -> np.ndarray:
 def _harmonic_sample_array(kappa, bond) -> tuple[DispersionSample, np.ndarray]:
     """The sample at kappa and c at 2*kappa (the root of the symbol there), broadcast.
 
-    Each point is checked once, as by :func:`eval_dispersion_array`.
+    Each point is checked once, as by :func:`check_domain`.  Values that
+    overflow become inf or nan without a warning, as the float arithmetic of
+    :func:`eval_dispersion` does.
     """
     kappa, bond = _domain_arrays(kappa, bond)
     harmonic = second_harmonic(kappa)

@@ -96,27 +96,6 @@ CORE_MODES = 16
 QUARTET_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class HillProblem:
-    """Truncated Floquet-Bloch matrix of the linearization at sideband xi.
-
-    ``real_matrix`` is the real M with L(xi) = 1j*M; ``matrix`` is L.
-    ``wave`` is the polished wave it is linearized about: its coefficients,
-    speed and Newton diagnostics, and as ``wave.wave`` the second-order
-    expansion (amplitude, kappa, bond) the polish started from.
-    """
-
-    xi: float
-    n_modes: int
-    real_matrix: np.ndarray  # real, dimension 2*(2*n_modes + 1)
-    wave: PolishedWave
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The complex operator L(xi) = 1j*M."""
-        return 1j * self.real_matrix
-
-
 def _check_problem(xis, amplitude: float, kappa: float, bond: float, n_modes: int) -> None:
     """Raise ValueError, naming the value, unless the problem is well posed."""
     check_domain(kappa, bond)
@@ -137,9 +116,9 @@ class _SidebandBlocks:
     solve needs one dim x dim Schur complement per sideband, not the
     2*dim x 2*dim M.  A^2 - C_eta is shared; only S differs per sideband.
     Stacked operands have one leading row per sideband.  This is the one
-    statement of M: :meth:`dense` forms it for :func:`assemble` and the dense
-    solve, and the quartet solve uses :meth:`apply` and :meth:`solver`, on M
-    or on the core truncation :meth:`truncated` cuts from it.
+    statement of M: :meth:`dense` forms it for the dense solve, and the
+    quartet solve uses :meth:`apply` and :meth:`solver`, on M or on the core
+    truncation :meth:`truncated` cuts from it.
     """
 
     scale: np.ndarray  # the diagonal of D, (sidebands, 2*dim, 1)
@@ -233,16 +212,6 @@ class _SidebandBlocks:
         rows = rows + self.symbol * (self.symbol + 2.0 * np.diag(self.conv_eta))
         shifted = self.scale[:, self.symbol.shape[1] :, 0]
         return np.sqrt(np.sum(shifted**2 * rows, axis=1))
-
-
-def assemble(
-    xi: float, amplitude: float, kappa: float, bond: float, n_modes: int
-) -> HillProblem:
-    """Build the Floquet-Bloch matrix at sideband xi about the wave train."""
-    _check_problem([xi], amplitude, kappa, bond, n_modes)
-    wave = polish_wave(wave_train(amplitude, kappa, bond))
-    blocks = _SidebandBlocks.build([xi], wave, n_modes)
-    return HillProblem(xi=xi, n_modes=n_modes, real_matrix=blocks.dense()[0], wave=wave)
 
 
 def _core_rows(array: np.ndarray, modes: int) -> np.ndarray:

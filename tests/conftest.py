@@ -3,7 +3,8 @@ import pytest
 
 from fdsw.analysis import find_factor_roots
 from fdsw.factors import Branch, Model, factor_i1, factor_i2, factor_i3, factor_i4
-from fdsw.hill import assemble
+from fdsw.hill import _SidebandBlocks
+from fdsw.stokes import polish_wave, wave_train
 
 # The oracle probe grid of the acceptance triangle and the pencil tests.
 PROBE_KAPPAS = (0.3, 0.5, 0.8, 1.5, 2.0, 3.0)
@@ -36,9 +37,18 @@ def probe_points():
             yield kappa, bond
 
 
+def hill_matrix(xi, a, kappa, bond, n_modes):
+    """The real M(xi) of the Hill oracle and the polished wave it is linearized about.
+
+    M comes from the library's one statement of it, ``hill._SidebandBlocks``.
+    """
+    wave = polish_wave(wave_train(a, kappa, bond))
+    return _SidebandBlocks.build([xi], wave, n_modes).dense()[0], wave
+
+
 def nearest_reference(xi, a, kappa, bond, n_modes):
     """Growth of the four eigenvalues of L = 1j*M of smallest modulus: the dense quartet."""
-    eigenvalues = 1j * np.linalg.eigvals(assemble(xi, a, kappa, bond, n_modes).real_matrix)
+    eigenvalues = 1j * np.linalg.eigvals(hill_matrix(xi, a, kappa, bond, n_modes)[0])
     quartet = eigenvalues[np.argsort(np.abs(eigenvalues))[:4]]
     return max(0.0, float(quartet.real.max()))
 

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import nearest_reference, probe_points
+from conftest import hill_matrix, nearest_reference, probe_points
 
 import fdsw.hill
 from fdsw.bloch import Stability, classify_band
 from fdsw.config import GROWTH_THRESHOLD, SIDEBAND_LADDER
 from fdsw.factors import Model, index
 from fdsw.dispersion import eval_dispersion, eval_dispersion_squared
-from fdsw.hill import MAX_N_MODES, WaveRefinementError, assemble, growth_rate, growth_rate_band
+from fdsw.hill import MAX_N_MODES, WaveRefinementError, growth_rate, growth_rate_band
 from fdsw.stokes import POLISH_TOL, wave_train
 
 
@@ -22,25 +22,24 @@ def _same_multiset(found, expected, tol):
 
 def test_zero_amplitude_matrix_is_block_diagonal():
     N = 8
-    prob = assemble(0.3, 0.0, 1.0, 0.0, N)
+    M, _ = hill_matrix(0.3, 0.0, 1.0, 0.0, N)
     dim = 2 * N + 1
-    M = prob.matrix
     for block in (M[:dim, :dim], M[:dim, dim:], M[dim:, :dim], M[dim:, dim:]):
         off = block - np.diag(np.diag(block))
         assert np.abs(off).max() == 0.0
 
 
 def test_zero_amplitude_spectrum_is_imaginary():
-    prob = assemble(0.3, 0.0, 1.0, 0.0, 16)
-    eigenvalues = np.linalg.eigvals(prob.matrix)
+    M, _ = hill_matrix(0.3, 0.0, 1.0, 0.0, 16)
+    eigenvalues = 1j * np.linalg.eigvals(M)
     assert np.abs(eigenvalues.real).max() < 1e-12
 
 
 def test_zero_amplitude_block_eigenvalues():
     # mode n: lambda = i (n + xi) (c0 +- c(kappa |n + xi|)), frame speed c0
     xi, kappa, N = 0.3, 1.0, 16
-    prob = assemble(xi, 0.0, kappa, 0.0, N)
-    eigenvalues = np.linalg.eigvals(prob.matrix)
+    M, _ = hill_matrix(xi, 0.0, kappa, 0.0, N)
+    eigenvalues = 1j * np.linalg.eigvals(M)
     c0 = eval_dispersion(kappa, 0.0).c
     expected = []
     for n in range(-N, N + 1):
@@ -66,8 +65,8 @@ def test_growth_negligible_below_critical_wavenumber():
 
 
 def test_four_branches_bifurcate_from_origin():
-    prob = assemble(0.0, 0.01, 1.0, 0.0, 32)
-    eigenvalues = np.linalg.eigvals(prob.matrix)
+    M, _ = hill_matrix(0.0, 0.01, 1.0, 0.0, 32)
+    eigenvalues = 1j * np.linalg.eigvals(M)
     near = eigenvalues[np.abs(eigenvalues) <= 0.1]
     assert near.size == 4
 
@@ -75,39 +74,39 @@ def test_four_branches_bifurcate_from_origin():
 def test_refined_wave_matches_expansion_through_second_order():
     # the Newton-polished coefficients differ from the expansion by O(a^3)
     a = 0.01
-    prob = assemble(0.0, a, 1.0, 0.0, 16)
+    _, wave = hill_matrix(0.0, a, 1.0, 0.0, 16)
     w = wave_train(a, 1.0, 0.0)
-    np.testing.assert_allclose(prob.wave.u_coeffs[:3], w.u_coeffs, atol=5.0 * a**3)
-    np.testing.assert_allclose(prob.wave.eta_coeffs[:3], w.eta_coeffs, atol=5.0 * a**3)
-    assert prob.wave.speed == pytest.approx(w.speed, abs=5.0 * a**3)
+    np.testing.assert_allclose(wave.u_coeffs[:3], w.u_coeffs, atol=5.0 * a**3)
+    np.testing.assert_allclose(wave.eta_coeffs[:3], w.eta_coeffs, atol=5.0 * a**3)
+    assert wave.speed == pytest.approx(w.speed, abs=5.0 * a**3)
     # beyond the expansion's reach the coefficients keep decaying
-    assert abs(prob.wave.u_coeffs[3]) < abs(prob.wave.u_coeffs[2])
+    assert abs(wave.u_coeffs[3]) < abs(wave.u_coeffs[2])
 
 
 def test_convolution_band_matches_wave_coefficients():
     a = 0.01
     N = 12
-    prob = assemble(0.0, a, 1.0, 0.0, N)
+    M, wave = hill_matrix(0.0, a, 1.0, 0.0, N)
     dim = 2 * N + 1
-    # row of mode n=1 (index N+1): M[n, :dim] = i*n*(speed*e_n - u-convolution)
+    # row of mode n=1 (index N+1): M[n, :dim] = n*(speed*e_n - u-convolution)
     unit = np.zeros(dim)
     unit[N + 1] = 1.0
-    row = prob.wave.speed * unit - prob.matrix[N + 1, :dim] / 1j
-    assert row[N + 1].real == pytest.approx(prob.wave.u_coeffs[0], abs=1e-14)
-    assert row[N].real == pytest.approx(0.5 * prob.wave.u_coeffs[1], abs=1e-14)
-    assert row[N + 2].real == pytest.approx(0.5 * prob.wave.u_coeffs[1], abs=1e-14)
-    assert row[N - 1].real == pytest.approx(0.5 * prob.wave.u_coeffs[2], abs=1e-14)
-    assert row[N + 3].real == pytest.approx(0.5 * prob.wave.u_coeffs[2], abs=1e-14)
+    row = wave.speed * unit - M[N + 1, :dim]
+    assert row[N + 1] == pytest.approx(wave.u_coeffs[0], abs=1e-14)
+    assert row[N] == pytest.approx(0.5 * wave.u_coeffs[1], abs=1e-14)
+    assert row[N + 2] == pytest.approx(0.5 * wave.u_coeffs[1], abs=1e-14)
+    assert row[N - 1] == pytest.approx(0.5 * wave.u_coeffs[2], abs=1e-14)
+    assert row[N + 3] == pytest.approx(0.5 * wave.u_coeffs[2], abs=1e-14)
     # and these agree with the second-order expansion to O(a^3)
     w = wave_train(a, 1.0, 0.0)
-    assert row[N].real == pytest.approx(0.5 * w.u_coeffs[1], abs=5.0 * a**3)
-    assert row[N - 1].real == pytest.approx(0.5 * w.u_coeffs[2], abs=5.0 * a**3)
+    assert row[N] == pytest.approx(0.5 * w.u_coeffs[1], abs=5.0 * a**3)
+    assert row[N - 1] == pytest.approx(0.5 * w.u_coeffs[2], abs=5.0 * a**3)
 
 
 def test_spectral_symmetry_pairs():
     # eigenvalues come in {lambda, -conj(lambda)} pairs at a > 0
-    prob = assemble(0.01, 0.01, 2.0, 0.0, 16)
-    eigenvalues = np.linalg.eigvals(prob.matrix)
+    M, _ = hill_matrix(0.01, 0.01, 2.0, 0.0, 16)
+    eigenvalues = 1j * np.linalg.eigvals(M)
     for target in -eigenvalues.conj():
         assert np.abs(eigenvalues - target).min() < 1e-8
 
@@ -130,10 +129,10 @@ def test_band_sweep_catches_narrow_bands():
 
 def test_n_modes_validation():
     with pytest.raises(ValueError):
-        assemble(0.0, 0.0, 1.0, 0.0, 4)
+        growth_rate(0.0, 0.0, 1.0, 0.0, 4)
     # the cap is checked before anything is allocated
     with pytest.raises(ValueError):
-        assemble(0.0, 0.0, 1.0, 0.0, MAX_N_MODES + 1)
+        growth_rate(0.0, 0.0, 1.0, 0.0, MAX_N_MODES + 1)
 
 
 @pytest.mark.parametrize(
@@ -150,16 +149,16 @@ def test_n_modes_validation():
         (growth_rate, (math.nan, 0.01, 1.0, 0.0, 32), "xi must be finite, got nan"),
         (growth_rate, (0.01, math.nan, 1.0, 0.0, 32), "amplitude must be finite, got nan"),
         (growth_rate_band, (math.inf, 0.01, 1.0, 0.0, 32), "xi must be finite, got inf"),
-        (assemble, (0.01, math.inf, 1.0, 0.0, 32), "amplitude must be finite, got inf"),
+        (growth_rate, (0.01, math.inf, 1.0, 0.0, 32), "amplitude must be finite, got inf"),
         (growth_rate, (0.6, 0.01, 1.0, 0.0, 32), "xi must be in [-1/2, 1/2], got 0.6"),
         # the second harmonic 2*kappa overflows; checked as the wave is built
         (growth_rate, (0.01, 0.01, 1e308, 0.0, 32), "so that 2*kappa is finite, got 1e+308"),
         (growth_rate_band, (-0.6, 0.01, 1.0, 0.0, 32), "xi must be in [-1/2, 1/2], got -0.6"),
-        (assemble, (0.75, 0.01, 1.0, 0.0, 32), "xi must be in [-1/2, 1/2], got 0.75"),
+        (growth_rate, (0.75, 0.01, 1.0, 0.0, 32), "xi must be in [-1/2, 1/2], got 0.75"),
     ],
     ids=[
         "kappa", "bond", "n_modes", "n_modes-float", "n_modes-band", "xi", "amplitude", "xi-band",
-        "assemble", "xi-range", "kappa-harmonic", "xi-range-band", "xi-range-assemble",
+        "amplitude-inf", "xi-range", "kappa-harmonic", "xi-range-band", "xi-range-far",
     ],
 )
 def test_growth_rate_checks_its_arguments_before_any_polish(monkeypatch, func, args, message):
@@ -198,8 +197,7 @@ def test_overflowing_polish_is_a_refinement_error_without_warnings():
 def test_matrix_is_the_block_formula(xi, a, kappa, bond):
     # M = D [[c I - C_u, -S - C_eta], [-I, c I - C_u]], written out entry by entry
     N = 12
-    prob = assemble(xi, a, kappa, bond, N)
-    wave = prob.wave
+    M, wave = hill_matrix(xi, a, kappa, bond, N)
     modes = range(-N, N + 1)
 
     def conv(coeffs):
@@ -214,17 +212,14 @@ def test_matrix_is_the_block_formula(xi, a, kappa, bond):
         [np.hstack([block_a, -symbol - conv(wave.eta_coeffs)]), np.hstack([-ident, block_a])]
     )
     expected *= np.array([n + xi for n in modes] * 2)[:, None]
-    np.testing.assert_allclose(prob.real_matrix, expected, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(M, expected, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("xi, a, kappa, bond", [(0.01, 0.01, 2.0, 0.0), (0.3, 0.05, 1.2, 0.4)])
 def test_real_form_has_the_complex_spectrum(xi, a, kappa, bond):
-    prob = assemble(xi, a, kappa, bond, 16)
-    assert prob.real_matrix.dtype == np.float64
-    np.testing.assert_array_equal(prob.matrix, 1j * prob.real_matrix)
-    _same_multiset(
-        1j * np.linalg.eigvals(prob.real_matrix), np.linalg.eigvals(prob.matrix), 1e-10
-    )
+    M, _ = hill_matrix(xi, a, kappa, bond, 16)
+    assert M.dtype == np.float64
+    _same_multiset(1j * np.linalg.eigvals(M), np.linalg.eigvals(1j * M), 1e-10)
 
 
 @pytest.mark.parametrize("kappa, bond", [(2.0, 0.0), (2.0, 5.0), (0.8, 0.2)])
@@ -261,18 +256,18 @@ def test_ladder_reaches_narrow_bands(kappa, bond):
 
 
 def test_polish_diagnostics():
-    prob = assemble(0.01, 0.01, 2.0, 0.0, 16)
-    assert prob.wave.iterations >= 1
-    assert prob.wave.residual < POLISH_TOL
+    _, wave = hill_matrix(0.01, 0.01, 2.0, 0.0, 16)
+    assert wave.iterations >= 1
+    assert wave.residual < POLISH_TOL
     # the unperturbed wave solves the system as it stands
-    flat = assemble(0.01, 0.0, 2.0, 0.0, 16)
-    assert flat.wave.iterations == 0
-    assert flat.wave.residual == 0.0
+    _, flat = hill_matrix(0.01, 0.0, 2.0, 0.0, 16)
+    assert flat.iterations == 0
+    assert flat.residual == 0.0
 
 
 def _dense_reference(xi, a, kappa, bond, n_modes):
     # every eigenvalue of L = 1j*M within the origin radius 10*(|xi| + |a|): the dense solve
-    eigenvalues = 1j * np.linalg.eigvals(assemble(xi, a, kappa, bond, n_modes).real_matrix)
+    eigenvalues = 1j * np.linalg.eigvals(hill_matrix(xi, a, kappa, bond, n_modes)[0])
     near = eigenvalues[np.abs(eigenvalues) <= 10.0 * (abs(xi) + abs(a))]
     return max(0.0, float(near.real.max())) if near.size else 0.0
 
@@ -484,12 +479,12 @@ def test_fallback_quartet_is_nearest_the_origin():
     "xi, kappa, bond", [(1e-2, 2.0, 0.0), (1.5625e-4, 1.2, 0.4), (0.3, 0.8, 5.0)]
 )
 def test_block_solve_matches_dense_solve(xi, kappa, bond):
-    prob = assemble(xi, 1e-2, kappa, bond, 32)
-    blocks = fdsw.hill._SidebandBlocks.build([xi], prob.wave, 32)
+    M, wave = hill_matrix(xi, 1e-2, kappa, bond, 32)
+    blocks = fdsw.hill._SidebandBlocks.build([xi], wave, 32)
     y = np.random.default_rng(0).standard_normal((1, 130, 3))
-    expected = np.linalg.solve(prob.real_matrix, y[0])
+    expected = np.linalg.solve(M, y[0])
     found = blocks.solver()([0])(y)[0]
     assert np.linalg.norm(found - expected) <= 1e-9 * np.linalg.norm(expected)
-    product = prob.real_matrix @ y[0]
+    product = M @ y[0]
     assert np.abs(blocks.apply(y, [0])[0] - product).max() <= 1e-12 * np.abs(product).max()
-    assert blocks.frobenius()[0] == pytest.approx(np.linalg.norm(prob.real_matrix), rel=1e-12)
+    assert blocks.frobenius()[0] == pytest.approx(np.linalg.norm(M), rel=1e-12)
