@@ -14,10 +14,10 @@ and a (the O(xi^3 + xi^2 a + a^2) remainder is dropped).  Its roots are the
 eigenvalues of I^-1 L; with lambda = i*xi*X, a nonreal root X at some
 sideband classifies modulational instability.
 
-Only that sign is an answer.  On the scale xi ~ a the dropped a^2 terms are
-as large as the kept xi^2 and xi*a terms, so the growth Re lambda is not
-Hill's: at the index-unstable acceptance points it is 0.75-0.97 of Hill's
-for T <= 0.2 and 1.75-4.7 of it at T = 5, the same at a = 1e-2 and 5e-3
+Only that sign is an answer: the growth Re lambda is not Hill's.  Each
+maximized over xi at a = 1e-3, the pencil's peak growth is c(kappa) times
+Hill's (0.69426 against c = 0.69427 at (kappa, T) = (2, 0), 2.30820 against
+2.30818 at (2.5, 2)); which entries carry the extra c is not yet known
 (docs/numerics.md).  Quantitative growth rates come from :mod:`fdsw.hill`.
 """
 

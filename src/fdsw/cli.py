@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .analysis import classify_intervals, critical_wavenumber, large_T_limit, stability_diagram
-from .config import growth_threshold
+from .config import GROWTH_FLOOR, growth_threshold
 from .factors import _LABELS, Model, index
 from .g17 import format_g17
 from .hill import MAX_N_MODES, WaveRefinementError, growth_rate
@@ -165,10 +165,13 @@ def _cmd_diagram(args: argparse.Namespace) -> tuple[None, list[str]]:
 def _cmd_hill(args: argparse.Namespace) -> tuple[dict, list[str]]:
     growth = growth_rate(args.xi, args.amplitude, args.kappa, args.bond, args.n_modes)
     rep = index(args.model, args.kappa, args.bond)
-    spectrally_unstable = growth > growth_threshold(args.amplitude)
-    if rep.classification in ("S", "U"):
+    threshold = growth_threshold(args.amplitude)
+    # where the threshold is under the round-off floor, growth within the floor
+    # decides nothing, save at a = 0, where the flat state's growth is exactly 0
+    within_floor = threshold < GROWTH_FLOOR and growth <= GROWTH_FLOOR
+    if rep.classification in ("S", "U") and not (within_floor and args.amplitude != 0.0):
         index_unstable = rep.classification == "U"
-        agreement = "AGREES" if spectrally_unstable == index_unstable else "DISAGREES"
+        agreement = "AGREES" if (growth > threshold) == index_unstable else "DISAGREES"
     else:
         agreement = "UNDECIDED"
     record = {

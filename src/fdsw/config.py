@@ -30,6 +30,14 @@ CLASSIFY_TOL = 1e-6
 # default amplitude; see growth_threshold for other amplitudes.
 GROWTH_THRESHOLD = 1e-8
 
+# Hill growth that round-off alone makes.  At a = xi = 1e-300, where the
+# true growth underflows to 0, the largest growth over the 23 acceptance
+# points is 1.05e-14, 1.25e-14, 3.7e-14 and 3.98e-13 at N = 16, 32, 64 and
+# 256 (3.5e-14 over 200 random points at N = 32, 3.2e-13 over 25 at
+# N = 256; x86_64, numpy 2.4 with OpenBLAS, one thread).  A growth_threshold
+# below this floor, 2.5 times the largest, cannot tell growth from round-off.
+GROWTH_FLOOR = 1e-12
+
 
 def growth_threshold(amplitude: float) -> float:
     """The spectral-stability threshold on Hill growth at this amplitude.

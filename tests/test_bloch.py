@@ -15,7 +15,9 @@ from fdsw.bloch import (
     classify_pencil,
 )
 from fdsw.config import CLASSIFY_TOL, SIDEBAND_LADDER
+from fdsw.dispersion import eval_dispersion
 from fdsw.factors import Model, index
+from fdsw.hill import growth_rate
 
 DC_1_0 = -0.19572723242223277472
 
@@ -139,6 +141,33 @@ def test_classification_stable_under_parameter_halving():
         assert full is halved, (kappa, bond)
 
 
+def _peak_growth(growth, xis):
+    """The largest of ``growth(xis)``, on two finer grids about the argmax in turn."""
+    for _ in range(3):
+        values = growth(xis)
+        best = int(np.argmax(values))
+        xis = np.linspace(xis[max(best - 1, 0)], xis[min(best + 1, xis.size - 1)], 11)
+    return values.max()
+
+
+@pytest.mark.parametrize("kappa, bond", [(2.0, 0.0), (2.5, 2.0)])
+def test_peak_growth_is_c_times_hills(kappa, bond):
+    # the pencil's growth is not Hill's, but at small amplitude its peak over
+    # xi is c(kappa) times Hill's (0.69427 at (2, 0), 2.3082 at (2.5, 2))
+    a = 1e-3
+
+    def pencil(xis):
+        L, I = build_matrices(xis, a, kappa, bond)
+        return np.linalg.eigvals(np.linalg.solve(I, L)).real.max(axis=-1)
+
+    def hill(xis):
+        return np.array([growth_rate(xi, a, kappa, bond, 32) for xi in xis.tolist()])
+
+    xis = a * np.geomspace(1e-2, 10.0, 31)
+    ratio = _peak_growth(pencil, xis) / _peak_growth(hill, xis)
+    assert ratio == pytest.approx(eval_dispersion(kappa, bond).c, abs=1e-3)
+
+
 def test_eigenvalues_match_the_quartic_route_on_the_probe_grid():
     # the roots the classification takes from one batched eigensolve are
     # those of the characteristic quartic, rung by rung, and so are the labels
@@ -197,7 +226,10 @@ def test_exports_resolve_and_removed_names_are_gone():
         "classify_from_quartic",
         "DegenerateQuarticError",
         "check_resonance_admissible",
+        "assemble",
+        "HillProblem",
+        "eval_dispersion_array",
     )
-    for module in (fdsw, fdsw.bloch, fdsw.stokes):
+    for module in (fdsw, fdsw.bloch, fdsw.stokes, fdsw.hill, fdsw.dispersion):
         for name in removed:
             assert not hasattr(module, name), (module.__name__, name)

@@ -11,6 +11,7 @@ import fdsw.analysis
 import fdsw.hill
 from fdsw.analysis import MAX_RESOLUTION, find_factor_roots, stability_diagram
 from fdsw.cli import _fmt, main
+from fdsw.config import GROWTH_FLOOR
 from fdsw.factors import Model, index
 from fdsw.hill import MAX_N_MODES
 
@@ -167,6 +168,34 @@ def test_hill_threshold_scales_with_amplitude_squared(capsys):
     code, out, _ = run_cli(capsys, *args, "--format", "json")
     record = json.loads(out)
     assert record["agreement"] == "AGREES" and record["growth_rate"] == growth
+
+
+@pytest.mark.parametrize(
+    "kappa, bond, amplitude, index_label, agreement",
+    [
+        # at a = xi = 1e-300 the growth, about 4e-15, is round-off, and the
+        # threshold 1e-8*(a/1e-2)**2 underflows
+        ("0.7", "1", "1e-300", "S", "UNDECIDED"),
+        ("2", "0.5", "1e-300", "S", "UNDECIDED"),
+        # the threshold 1e-14 is under the floor, but the growth 4.6e-11 is above it
+        ("2", "0", "1e-5", "U", "AGREES"),
+        # the growth 4.8e-15 is within the floor
+        ("2", "0", "1e-7", "U", "UNDECIDED"),
+    ],
+)
+def test_hill_growth_within_the_round_off_floor_is_undecided(
+    capsys, kappa, bond, amplitude, index_label, agreement
+):
+    code, out, _ = run_cli(
+        capsys, "hill", "--xi", amplitude, "--amplitude", amplitude, "--kappa", kappa,
+        "--bond", bond,
+    )
+    assert code == 0
+    growth = float(re.search(r"growth_rate = (\S+)", out).group(1))
+    assert growth > 0.0
+    assert (growth <= GROWTH_FLOOR) == (agreement == "UNDECIDED")
+    assert f"index_classification = {index_label}" in out
+    assert f"agreement = {agreement}" in out
 
 
 def test_hill_validation(capsys):

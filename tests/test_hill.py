@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import hill_matrix, nearest_reference, probe_points
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fdsw.hill
 from fdsw.bloch import Stability, classify_band
@@ -10,7 +12,7 @@ from fdsw.config import GROWTH_THRESHOLD, SIDEBAND_LADDER
 from fdsw.factors import Model, index
 from fdsw.dispersion import eval_dispersion, eval_dispersion_squared
 from fdsw.hill import MAX_N_MODES, WaveRefinementError, growth_rate, growth_rate_band
-from fdsw.stokes import POLISH_TOL, wave_train
+from fdsw.stokes import POLISH_TOL, ResonanceError, polish_wave, wave_train
 
 
 def _same_multiset(found, expected, tol):
@@ -488,3 +490,49 @@ def test_block_solve_matches_dense_solve(xi, kappa, bond):
     product = M @ y[0]
     assert np.abs(blocks.apply(y, [0])[0] - product).max() <= 1e-12 * np.abs(product).max()
     assert blocks.frobenius()[0] == pytest.approx(np.linalg.norm(M), rel=1e-12)
+
+
+@st.composite
+def _sideband_blocks(draw):
+    """Blocks of M at 1 to 3 random sidebands, with a nonempty mask of them."""
+    sidebands = draw(st.integers(1, 3))
+    # |xi| >= 1e-3 keeps D = diag(n + xi) invertible for the solve
+    xi = st.floats(-0.5, 0.5).filter(lambda xi: abs(xi) >= 1e-3)
+    xis = draw(st.lists(xi, min_size=sidebands, max_size=sidebands))
+    amplitude = draw(st.floats(0.0, 0.05))
+    kappa = draw(st.floats(0.2, 3.0))
+    bond = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    n_modes = draw(st.integers(8, 64))
+    rows = np.array(draw(st.lists(st.booleans(), min_size=sidebands, max_size=sidebands)))
+    assume(rows.any())
+    try:
+        wave = polish_wave(wave_train(amplitude, kappa, bond))
+    except (ResonanceError, WaveRefinementError):
+        assume(False)
+    modes = draw(st.integers(1, n_modes))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return fdsw.hill._SidebandBlocks.build(xis, wave, n_modes), rows, modes, seed
+
+
+@given(problem=_sideband_blocks())
+@settings(max_examples=40, deadline=None)
+def test_dense_apply_solver_and_truncation_state_one_M(problem):
+    # M is stated once, by its blocks: its dense form, its product, its
+    # block solve and its core truncation are one matrix
+    blocks, rows, modes, seed = problem
+    dense = blocks.dense(rows)
+    x = np.random.default_rng(seed).standard_normal((int(rows.sum()), dense.shape[1], 3))
+    product = blocks.apply(x, rows)
+    bound = 1e-13 * (np.abs(dense) @ np.abs(x)).max()
+    assert np.abs(dense @ x - product).max() <= bound
+    # the solve's backward error, relative to ||M||_F ||M^-1 x||
+    solved = blocks.solver()(rows)(x)
+    residual = np.linalg.norm(blocks.apply(solved, rows) - x, axis=(1, 2))
+    scale = np.linalg.norm(dense, axis=(1, 2)) * np.linalg.norm(solved, axis=(1, 2))
+    assert np.all(residual <= 1e-13 * scale)
+    # the truncation to -modes..modes is the central block of M, entry for entry
+    dim = blocks.symbol.shape[1]
+    central = np.arange(dim // 2 - modes, dim // 2 + modes + 1)
+    kept = np.concatenate([central, dim + central])
+    core = blocks.truncated(rows, modes).dense()
+    np.testing.assert_array_equal(core, dense[:, kept][:, :, kept])
