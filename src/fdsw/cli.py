@@ -167,9 +167,9 @@ def _cmd_hill(args: argparse.Namespace) -> tuple[dict, list[str]]:
     rep = index(args.model, args.kappa, args.bond)
     threshold = growth_threshold(args.amplitude)
     # where the threshold is under the round-off floor, growth within the floor
-    # decides nothing, save at a = 0, where the flat state's growth is exactly 0
+    # decides nothing; at a = 0 there is no wave train to decide about
     within_floor = threshold < GROWTH_FLOOR and growth <= GROWTH_FLOOR
-    if rep.classification in ("S", "U") and not (within_floor and args.amplitude != 0.0):
+    if rep.classification in ("S", "U") and not within_floor:
         index_unstable = rep.classification == "U"
         agreement = "AGREES" if (growth > threshold) == index_unstable else "DISAGREES"
     else:

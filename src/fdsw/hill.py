@@ -26,18 +26,17 @@ zero) decide modulational stability: a positive real part means instability
 with growth rate max Re(lambda) in the e^{lambda*kappa*t} time
 normalization.  They are found without the full spectrum: inverse subspace
 iteration on a six-column block, with M^-1 applied through a Schur
-complement of half the size, in rounds that each end in Rayleigh-Ritz.  The
-iteration runs first on the core truncation to the CORE_MODES modes nearest
-n = 0, where the wave couples modes through coefficients falling off like
-a^|n|, but every round is certified on the full M: the core rows of M times
-the embedded basis are the core operator's, the other rows are what the
-core leaks.  After each round a sideband whose quartet is certified on M
-locks and leaves the batch; a sideband certified on the core rows alone
-goes on with M itself, from its embedded basis; the rest iterate on.  A
-sideband still uncertified after the last round, or that cannot be solved
-this way (integer xi), takes instead the four eigenvalues of smallest
-modulus of its dense M.  Either way the quartet is the same four
-eigenvalues, and the growth rate is read from it in one place.
+complement of half the size, in rounds that each end in Rayleigh-Ritz on
+the full M, in one loop of at most two stages.  The first iterates on the
+core truncation to the CORE_MODES modes nearest n = 0, where the wave
+couples modes through coefficients falling off like a^|n|: the core rows of
+M times the embedded basis are the core operator's, the other rows are what
+the core leaks.  After each round a sideband certified on M locks and
+leaves the batch; one certified on the core rows alone goes on to the
+second stage, on M itself, from its embedded basis; the rest iterate on.  A
+sideband uncertified after the last round, or that cannot be solved this
+way (integer xi), takes its dense M's eigenvalues.  One rule, the four of
+smallest modulus, picks the quartet from Ritz and dense eigenvalues alike.
 """
 
 from __future__ import annotations
@@ -117,8 +116,8 @@ class _SidebandBlocks:
     2*dim x 2*dim M.  A^2 - C_eta is shared; only S differs per sideband.
     Stacked operands have one leading row per sideband.  This is the one
     statement of M: :meth:`dense` forms it for the dense solve, and the
-    quartet solve uses :meth:`apply` and :meth:`solver`, on M or on the core
-    truncation :meth:`truncated` cuts from it.
+    quartet solve uses :meth:`apply` on M and :meth:`solver` on the
+    truncations :meth:`truncated` cuts from it, M itself among them.
     """
 
     scale: np.ndarray  # the diagonal of D, (sidebands, 2*dim, 1)
@@ -226,70 +225,64 @@ def _core_rows(array: np.ndarray, modes: int) -> np.ndarray:
     return array.reshape(sidebands, 2, dim, columns)[:, :, central]
 
 
-def _embed(basis: np.ndarray, dim: int) -> np.ndarray:
-    """``basis`` on a core truncation, zero-padded to the modes of M (``dim`` per component)."""
-    sidebands, rows, columns = basis.shape
-    if rows == 2 * dim:
-        return basis
-    padded = np.zeros((sidebands, 2 * dim, columns))
-    _core_rows(padded, rows // 4)[...] = basis.reshape(sidebands, 2, rows // 2, columns)
-    return padded
+def _nearest_four(values: np.ndarray) -> np.ndarray:
+    """Per row, the indices of the four ``values`` of smallest modulus: the quartet's."""
+    return np.argsort(np.abs(values), axis=1)[:, :4]
 
 
 def _rayleigh_ritz(blocks: _SidebandBlocks, basis: np.ndarray, rows) -> tuple:
     """Rayleigh-Ritz on the orthonormal ``basis`` at the sidebands ``rows``.
 
-    ``basis`` lies on the modes of M or of a core truncation of them; it is
-    embedded in M's modes with zeros.  Returns the four Ritz values of
-    smallest modulus per sideband, their residuals |M v - mu v| for the unit
-    Ritz vectors v, the same residuals on the core rows alone, and whether
-    the projected matrix is finite (where it is not, the values mean
-    nothing).  The core rows of M v are those of M_core v, so the core
-    residuals are those of M_core, and the rest is what the truncation
-    leaks; on M's own modes both residuals are one array.
+    ``basis`` lies on a truncation of M's modes, embedded in all of them
+    with zeros.  Returns the quartet of Ritz values per sideband, their
+    residuals |M v - mu v| for the unit Ritz vectors v, the same on the
+    truncation's rows alone (its own M's; the rest is what it leaks, and on
+    M's own modes both are one array), whether the projected matrix is
+    finite (else the values mean nothing) and the embedded basis.
     """
     dim = blocks.symbol.shape[1]
-    padded = _embed(basis, dim)
+    sidebands, size, columns = basis.shape
+    padded = np.zeros((sidebands, 2 * dim, columns))
+    _core_rows(padded, size // 4)[...] = basis.reshape(sidebands, 2, size // 2, columns)
     image = blocks.apply(padded, rows)
     projected = padded.transpose(0, 2, 1) @ image
     finite = np.all(np.isfinite(projected), axis=(1, 2))
     projected[~finite] = 0.0
     ritz, vectors = np.linalg.eig(projected)
-    keep = np.argsort(np.abs(ritz), axis=1)[:, :4]
+    keep = _nearest_four(ritz)
     ritz = np.take_along_axis(ritz, keep, axis=1)
     vectors = np.take_along_axis(vectors, keep[:, None, :], axis=2)
     # v = basis @ w for the eigenvectors w of the projection
     vectors = (image - padded @ projected) @ vectors
     residual = np.linalg.norm(vectors, axis=1)
-    if padded is basis:
-        return ritz, residual, residual, finite
-    core = np.linalg.norm(_core_rows(vectors, basis.shape[1] // 4), axis=(1, 2))
-    return ritz, residual, core, finite
+    on_core = _core_rows(vectors, size // 4)
+    core = residual if size == 2 * dim else np.linalg.norm(on_core, axis=(1, 2))
+    return ritz, residual, core, finite, padded
 
 
-def _rounds(truncated: _SidebandBlocks, blocks: _SidebandBlocks, basis, bound, steps) -> tuple:
-    """Rounds of inverse subspace iteration on ``truncated``, certified on ``blocks``.
+def _rounds(blocks: _SidebandBlocks, rows, modes: int, basis, bound, steps) -> tuple:
+    """Rounds of inverse subspace iteration on M's truncation to ``modes``, certified on M.
 
-    ``truncated`` states M at the same sidebands as ``blocks``, on all of
-    its modes or on a core of them, and ``basis`` is the start block on its
-    modes.  Round r takes ``steps[r]`` steps on the live sidebands at once
-    and ends in Rayleigh-Ritz on M.  A sideband leaves the batch once it is
-    certified (every value finite, each Ritz residual at most ``bound``),
-    once the core leaks (the residuals meet the bound on the core rows but
-    not on M) or once a value is not finite (as where D is singular, at
-    integer xi); so its path depends on its own residuals alone.  Returns
-    the masks of certified and of leaking sidebands, the Ritz values of the
-    certified and the basis each leaking one left with.  A sideband in
-    neither mask is left for the dense solve, as is every sideband when the
-    batched inverse of the Schur complements fails.
+    The truncation keeps the modes -modes..modes at the sidebands ``rows``
+    (an index array); ``basis`` is the start block on them.  Round r takes
+    ``steps[r]`` steps on the live sidebands at once and ends in
+    Rayleigh-Ritz on M.  A sideband leaves the batch once it is certified
+    (each Ritz residual at most its ``bound``), once the truncation leaks
+    (the residuals meet the bound on its rows alone, which never happens on
+    M itself) or once a value is not finite (as at integer xi), so its path
+    depends on its own residuals alone.  Returns, per sideband of ``rows``,
+    whether it is certified and whether it leaks, the Ritz values of the
+    certified and the leaking ones' bases, embedded in M's modes.  The rest
+    (all, if a Schur complement is singular) take the dense solve.
     """
-    sidebands = len(bound)
+    sidebands = len(rows)
+    bound = bound[rows, None]
     quartets = np.empty((sidebands, 4), dtype=complex)
     done = np.zeros(sidebands, dtype=bool)
     leaks = np.zeros(sidebands, dtype=bool)
-    left = np.empty_like(basis)
+    left = np.empty((sidebands, 2 * blocks.symbol.shape[1], basis.shape[2]))
     try:
-        solver = truncated.solver()
+        solver = blocks.truncated(rows, modes).solver()
     except np.linalg.LinAlgError:
         return done, leaks, quartets, left
     live = np.arange(sidebands)
@@ -298,13 +291,13 @@ def _rounds(truncated: _SidebandBlocks, blocks: _SidebandBlocks, basis, bound, s
             solve = solver(live)
             for _ in range(count):
                 basis = np.linalg.qr(solve(basis))[0]
-            ritz, residual, core, finite = _rayleigh_ritz(blocks, basis, live)
-            fits = finite & np.all(residual <= bound[live, None], axis=1)
-            leaking = finite & ~fits & np.all(core <= bound[live, None], axis=1)
+            ritz, residual, core, finite, padded = _rayleigh_ritz(blocks, basis, rows[live])
+            fits = finite & np.all(residual <= bound[live], axis=1)
+            leaking = finite & ~fits & np.all(core <= bound[live], axis=1)
             quartets[live[fits]] = ritz[fits]
             done[live[fits]] = True
             leaks[live[leaking]] = True
-            left[live[leaking]] = basis[leaking]
+            left[live[leaking]] = padded[leaking]
             going = finite & ~fits & ~leaking
             live, basis = live[going], basis[going]
             if not live.size:
@@ -316,42 +309,39 @@ def _quartets(blocks: _SidebandBlocks) -> np.ndarray:
     """The quartet mu of M nearest the origin at each sideband, (sidebands, 4) complex.
 
     Inverse subspace iteration from the modes START_MODES of both
-    components, in :func:`_rounds` of SUBSPACE_ITERATIONS steps, first on
-    the truncation of M to its CORE_MODES central modes (on M itself when it
-    has no more) and always certified on M: every Ritz residual at most
-    QUARTET_TOL * ||M||_F.  A sideband where the core leaks goes on in
-    rounds on M itself, from its core basis embedded in M's modes; a
-    sideband that does not converge on the core stays there.  Every
-    sideband not certified by then takes the four eigenvalues of smallest
-    modulus of its dense M, all of them in one stacked eigensolve.
+    components, in :func:`_rounds` of SUBSPACE_ITERATIONS steps, and in at
+    most two stages, each certified on M: every Ritz residual at most
+    QUARTET_TOL * ||M||_F.  The first stage iterates on M's CORE_MODES
+    central modes (on M itself when it has no more); the sidebands where
+    that core leaks go on, on M itself, from their core bases.  Every
+    sideband not certified by then takes the quartet of its dense M, all
+    of them in one stacked eigensolve.
     """
     sidebands, dim = blocks.symbol.shape
     n_modes = dim // 2
-    modes = min(n_modes, CORE_MODES)
+    core = min(n_modes, CORE_MODES)
     quartets = np.empty((sidebands, 4), dtype=complex)
-    start = modes + np.array(START_MODES)
-    start = np.concatenate([start, 2 * modes + 1 + start])
-    basis = np.zeros((sidebands, 2 * (2 * modes + 1), start.size))
+    certified = np.zeros(sidebands, dtype=bool)
+    start = core + np.array(START_MODES)
+    start = np.concatenate([start, 2 * core + 1 + start])
+    basis = np.zeros((sidebands, 2 * (2 * core + 1), start.size))
     basis[:, start, np.arange(start.size)] = 1.0
     bound = QUARTET_TOL * blocks.frobenius()
-    rounds = (SUBSPACE_ITERATIONS,) * SUBSPACE_ROUNDS
-    core = blocks if modes == n_modes else blocks.truncated(slice(None), modes)
-    certified, leaks, found, basis = _rounds(core, blocks, basis, bound, rounds)
-    quartets[certified] = found[certified]
-    if leaks.any():
+    rows = np.arange(sidebands)
+    steps = (SUBSPACE_ITERATIONS,) * SUBSPACE_ROUNDS
+    for modes in (core, n_modes):
+        done, leaks, found, basis = _rounds(blocks, rows, modes, basis, bound, steps)
+        quartets[rows[done]] = found[done]
+        certified[rows[done]] = True
+        if not leaks.any():
+            break
+        rows, basis = rows[leaks], basis[leaks]
         # from a basis converged on the core, one step on M mostly certifies:
         # Rayleigh-Ritz after it splits the first round
-        full = blocks.truncated(leaks, n_modes)
-        basis = _embed(basis[leaks], dim)
-        rounds = (1, SUBSPACE_ITERATIONS - 1, *rounds[1:])
-        done, _, found, _ = _rounds(full, full, basis, bound[leaks], rounds)
-        moved = np.flatnonzero(leaks)[done]
-        quartets[moved] = found[done]
-        certified[moved] = True
+        steps = (1, SUBSPACE_ITERATIONS - 1, *steps[1:])
     if not certified.all():
         eigenvalues = np.linalg.eigvals(blocks.dense(~certified))
-        keep = np.argsort(np.abs(eigenvalues), axis=1)[:, :4]
-        quartets[~certified] = np.take_along_axis(eigenvalues, keep, axis=1)
+        quartets[~certified] = np.take_along_axis(eigenvalues, _nearest_four(eigenvalues), axis=1)
     return quartets
 
 

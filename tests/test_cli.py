@@ -134,12 +134,20 @@ def test_hill_agreement(capsys):
     )
     assert code == 0
     assert "agreement = AGREES" in out
+
+
+@pytest.mark.parametrize("kappa, index_label", [("1", "S"), ("2", "U")])
+def test_hill_flat_state_is_undecided(capsys, kappa, index_label):
+    # at a = 0 there is no wave train: the growth is exactly 0 whatever the
+    # index says, so it neither confirms nor refutes it
     code, out, _ = run_cli(
         capsys, "hill", "--model", "fdsw2", "--xi", "0.01", "--amplitude", "0",
-        "--kappa", "1", "--bond", "0", "--n-modes", "32",
+        "--kappa", kappa, "--bond", "0", "--n-modes", "32",
     )
-    assert "growth_rate = 0" in out
-    assert "agreement = AGREES" in out
+    assert code == 0
+    assert "growth_rate = 0\n" in out
+    assert f"index_classification = {index_label}" in out
+    assert "agreement = UNDECIDED" in out
 
 
 def test_hill_small_kappa_fallback_agrees_with_the_index(capsys):

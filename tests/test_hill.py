@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fdsw.hill
 from fdsw.bloch import Stability, classify_band
-from fdsw.config import GROWTH_THRESHOLD, SIDEBAND_LADDER
+from fdsw.config import GROWTH_FLOOR, GROWTH_THRESHOLD, SIDEBAND_LADDER
 from fdsw.factors import Model, index
 from fdsw.dispersion import eval_dispersion, eval_dispersion_squared
 from fdsw.hill import MAX_N_MODES, WaveRefinementError, growth_rate, growth_rate_band
@@ -322,6 +322,20 @@ def test_quartet_growth_matches_dense_reference():
             assert abs(growth_rate(xi, 1e-2, kappa, bond, 32) - expected) <= 1e-10
 
 
+def test_round_off_growth_is_within_the_floor():
+    # at a = xi = 1e-300 the true growth underflows to 0 and round-off is
+    # left: at most 1.05e-14 (N = 16) and 1.25e-14 (N = 32) over the
+    # acceptance points, and at N = 256, (kappa, T) = (1.5, 5), 8.2e-14 on
+    # one BLAS thread and 4.0e-13 on two (x86_64, OpenBLAS).  The CLI reads
+    # growth within GROWTH_FLOOR as round-off; a machine where that margin
+    # fails fails here
+    for n_modes in (16, 32):
+        growth = max(growth_rate(1e-300, 1e-300, k, t, n_modes) for k, t in probe_points())
+        assert growth <= GROWTH_FLOOR
+    # this point takes the dense solve
+    assert growth_rate(1e-300, 1e-300, 1.5, 5.0, 256) <= GROWTH_FLOOR
+
+
 def test_band_makes_no_dense_eigensolve(monkeypatch):
     calls = _count_eigvals(monkeypatch)
     assert growth_rate_band(1e-2, 1e-2, 2.0, 0.0, 32) > GROWTH_THRESHOLD
@@ -414,14 +428,14 @@ def test_second_round_iterates_only_the_uncertified_rows(monkeypatch):
         (8, 0.01, 4.577623065651e-05),
     ],
 )
-def test_small_truncations_build_no_core(monkeypatch, n_modes, a, expected):
-    # n_modes <= CORE_MODES: the rounds run on M itself, as without a core
-    def no_core(*_):
-        raise AssertionError("built a truncation of the blocks")
-
-    monkeypatch.setattr(fdsw.hill._SidebandBlocks, "truncated", no_core)
+def test_small_truncations_run_one_stage_on_M(monkeypatch, n_modes, a, expected):
+    # n_modes <= CORE_MODES: the core is M itself, so every round runs on
+    # Schur complements of M's 2N + 1 rows, in one stage, as without a core
     assert n_modes <= fdsw.hill.CORE_MODES
+    rounds, _, sizes = _record_rounds(monkeypatch)
     assert growth_rate_band(0.01, a, 2.0, 0.0, n_modes) == expected
+    assert sizes == [2 * n_modes + 1]
+    assert rounds == [[0, 1, 2, 3]]
 
 
 @pytest.mark.parametrize(
